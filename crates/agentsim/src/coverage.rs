@@ -13,19 +13,19 @@
 //!   same verdict share a signature — the frontier treats them as one
 //!   behavior and spends its budget elsewhere.
 //! * [`CoverageMap`] — the concurrent dedup set plus counters, with a
-//!   tear-free [`CoverageMap::stats`] snapshot (same double-read
-//!   protocol as `AgentMetrics::snapshot`).
+//!   tear-free [`CoverageMap::stats`] snapshot (counters are written
+//!   and read under the set lock).
 //!
 //! Because both deterministic engines produce byte-identical grant
 //! sequences, outcomes and leaders for the same `(instance, seed,
 //! schedule)`, the signature is engine-portable: `--engine gated` and
 //! `--engine sim` cover the same points (pinned by a property test).
 
+use crate::ctx::{AgentOutcome, Interrupt};
 use crate::gated::RunReport;
 use parking_lot::Mutex;
-use std::collections::hash_map::DefaultHasher;
+use qelect_graph::cache::{fnv_extend, FNV_OFFSET};
 use std::collections::HashSet;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of equal phase windows the grant sequence is split into for
@@ -45,25 +45,49 @@ pub fn signature(report: &RunReport) -> u64 {
 /// side (cheaper than engine-side trace recording) and calls this;
 /// [`signature`] is the same function applied to an engine-recorded
 /// trace, so the two agree on the same run.
+///
+/// The hash is the in-repo FNV-1a ([`qelect_graph::cache::fnv_extend`]),
+/// stable across Rust releases, fed word by word without allocating.
 pub fn signature_with(schedule: &[usize], report: &RunReport) -> u64 {
-    let mut h = DefaultHasher::new();
     // Terminal verdict: outcomes + leader. Distinct verdicts are always
-    // distinct coverage points.
-    format!("{:?}/{:?}", report.outcomes, report.leader).hash(&mut h);
+    // distinct coverage points. The outcome count comes first, so the
+    // verdict words and the switch triples after them never alias.
+    let mut h = fnv_extend(FNV_OFFSET, &[report.outcomes.len() as u64]);
+    for outcome in &report.outcomes {
+        h = fnv_extend(h, &[outcome_code(outcome)]);
+    }
+    h = fnv_extend(h, &[report.leader.map_or(0, |i| i as u64 + 1)]);
     // Phase-interleaving features: one (window, from, to) triple per
     // context switch, at PHASE_WINDOWS granularity.
     let len = schedule.len().max(1);
     for i in 1..schedule.len() {
         if schedule[i] != schedule[i - 1] {
             let window = i * PHASE_WINDOWS / len;
-            (window as u64, schedule[i - 1] as u64, schedule[i] as u64).hash(&mut h);
+            h = fnv_extend(
+                h,
+                &[window as u64, schedule[i - 1] as u64, schedule[i] as u64],
+            );
         }
     }
-    h.finish()
+    h
+}
+
+/// A distinct nonzero code per terminal outcome.
+fn outcome_code(outcome: &AgentOutcome) -> u64 {
+    match outcome {
+        AgentOutcome::Leader => 1,
+        AgentOutcome::Defeated => 2,
+        AgentOutcome::Unsolvable => 3,
+        AgentOutcome::Undecided => 4,
+        AgentOutcome::Interrupted(Interrupt::Deadlock) => 5,
+        AgentOutcome::Interrupted(Interrupt::StepLimit) => 6,
+        AgentOutcome::Interrupted(Interrupt::Cancelled) => 7,
+        AgentOutcome::Interrupted(Interrupt::Crashed) => 8,
+    }
 }
 
 /// A point-in-time view of a [`CoverageMap`], internally consistent
-/// (taken with the same double-read protocol as `AgentMetrics`).
+/// (taken under the map's set lock).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CoverageStats {
     /// Schedules observed (every [`CoverageMap::observe`] call).
@@ -96,9 +120,8 @@ impl CoverageMap {
     /// Record one run: returns `true` iff the signature is novel (the
     /// frontier uses this to decide which schedules to mutate).
     pub fn observe(&self, sig: u64, ticks: u64) -> bool {
-        // Counters are bumped under the set lock so a snapshot's retry
-        // loop only ever races a short window, never a half-applied
-        // observation that stays torn.
+        // Counters are bumped under the set lock, the lock `stats`
+        // reads them under: no snapshot sees half an observation.
         let mut set = self.set.lock();
         let novel = set.insert(sig);
         self.schedules.fetch_add(1, Ordering::SeqCst);
@@ -136,25 +159,17 @@ impl CoverageMap {
         v
     }
 
-    fn read_once(&self) -> CoverageStats {
+    /// Tear-free snapshot: [`CoverageMap::observe`] bumps every counter
+    /// under the set lock, so reading them under that lock sees whole
+    /// observations only — `schedules == unique + revisits` holds in
+    /// every snapshot even while workers are observing.
+    pub fn stats(&self) -> CoverageStats {
+        let _set = self.set.lock();
         CoverageStats {
             schedules: self.schedules.load(Ordering::SeqCst),
             unique: self.unique.load(Ordering::SeqCst),
             revisits: self.revisits.load(Ordering::SeqCst),
             max_ticks: self.max_ticks.load(Ordering::SeqCst),
-        }
-    }
-
-    /// Tear-free snapshot: read the counter tuple twice and retry until
-    /// both passes agree, so `schedules == unique + revisits` holds in
-    /// every snapshot even while workers are observing.
-    pub fn stats(&self) -> CoverageStats {
-        loop {
-            let a = self.read_once();
-            let b = self.read_once();
-            if a == b {
-                return a;
-            }
         }
     }
 }
@@ -244,5 +259,29 @@ mod tests {
         let mut recorded = base.clone();
         recorded.trace = vec![0, 0, 1, 1];
         assert_eq!(signature(&recorded), a);
+    }
+
+    #[test]
+    fn signature_value_is_pinned() {
+        // The FNV hash is fixed in this workspace, not by the Rust release,
+        // so a signature value is stable across toolchains and runs.
+        use crate::ctx::AgentOutcome;
+        use crate::gated::RunReport;
+        let report = RunReport {
+            outcomes: vec![AgentOutcome::Leader, AgentOutcome::Defeated],
+            leader: Some(0),
+            colors: Vec::new(),
+            metrics: Default::default(),
+            interrupted: None,
+            policy: "test",
+            trace: Vec::new(),
+            events: Vec::new(),
+        };
+        // Words: 2 outcomes, Leader, Defeated, leader 0, then the
+        // switches (window 3, 0 → 1) and (window 6, 1 → 0).
+        assert_eq!(
+            signature_with(&[0, 0, 1, 1, 0], &report),
+            0x8573_9db1_8d0d_2cc0
+        );
     }
 }

@@ -7,6 +7,13 @@
 //! [`PreparedElection`] cache across requests, so repeated instances pay
 //! graph construction, the gcd oracle, and COMPUTE & ORDER once.
 //!
+//! **Preparation on the workers** — admission only checks, coalesces
+//! and enqueues; the election worker that dequeues a job prepares its
+//! instance. Each shard's instance map holds one once-cell per spec,
+//! and the map lock covers only fetching or inserting the cell, so
+//! distinct cold instances prepare in parallel while every other request
+//! on the shard is admitted, and one instance is prepared at most once.
+//!
 //! Everything is `std` (the workspace builds offline): a
 //! `TcpListener` shared by a fixed pool of I/O threads, the thread-pool
 //! idioms of `sweep.rs` for the election workers, and hand-rolled
@@ -37,7 +44,8 @@
 //!
 //! **Instance-affine shards** — with `--shards N` the daemon runs N
 //! in-process shards, each owning its own admission queue, worker
-//! pool, prepared-instance map and incremental [`CanonSession`].
+//! pool and prepared-instance map; every worker owns an incremental
+//! [`CanonSession`].
 //! Requests are routed by the *canonical* fingerprint of their
 //! instance (isomorphic presentations share one canonical form, so
 //! they land on the same shard), which keeps warm per-instance state
@@ -82,7 +90,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
@@ -147,11 +155,12 @@ const DRAINING: u8 = 1;
 /// Stopping: the owner is joining the threads; acceptors exit.
 const STOPPING: u8 = 2;
 
-/// A validated election job, ready for the worker pool.
+/// A validated election job, ready for the worker pool. The worker
+/// prepares (or finds prepared) the instance of `spec`.
 struct Job {
     key: String,
     class: String,
-    prepared: Arc<PreparedElection>,
+    spec: Arc<InstanceSpec>,
     entry: &'static ProtocolEntry,
     cfg: RunConfig,
     sleep_ms: u64,
@@ -169,7 +178,13 @@ struct ElectionResult {
     accesses: u64,
     steps: u64,
     faults: FaultSummary,
+    /// The instance-level gcd-oracle facts of the prepared instance.
+    gcd: usize,
+    solvable: bool,
     queue_us: u64,
+    /// Time this job waited for its instance to be prepared (0 when it
+    /// was already prepared).
+    prepare_us: u64,
     run_us: u64,
 }
 
@@ -233,6 +248,10 @@ struct ServerStats {
     waits: AtomicU64,
     run_us: AtomicU64,
     queue_us: AtomicU64,
+    prepare_us: AtomicU64,
+    /// Instances prepared (once each, including those rebuilt from the
+    /// store at boot).
+    prepared: AtomicU64,
     /// Per-phase SpanTracker aggregates: phase → (spans, moves,
     /// accesses, waits), first-appearance order.
     phases: Mutex<Vec<(String, [u64; 4])>>,
@@ -251,7 +270,7 @@ impl ServerStats {
         f(&mut classes[last].1)
     }
 
-    fn record_run(&self, metrics: &qelect_agentsim::Metrics, queue_us: u64, run_us: u64) {
+    fn record_run(&self, metrics: &qelect_agentsim::Metrics, result: &ElectionResult) {
         self.completed.fetch_add(1, Ordering::Relaxed);
         self.moves
             .fetch_add(metrics.total_moves(), Ordering::Relaxed);
@@ -259,8 +278,10 @@ impl ServerStats {
             .fetch_add(metrics.total_accesses(), Ordering::Relaxed);
         self.waits
             .fetch_add(metrics.total_waits(), Ordering::Relaxed);
-        self.queue_us.fetch_add(queue_us, Ordering::Relaxed);
-        self.run_us.fetch_add(run_us, Ordering::Relaxed);
+        self.queue_us.fetch_add(result.queue_us, Ordering::Relaxed);
+        self.prepare_us
+            .fetch_add(result.prepare_us, Ordering::Relaxed);
+        self.run_us.fetch_add(result.run_us, Ordering::Relaxed);
         let mut phases = self.phases.lock();
         for row in metrics.phase_breakdown() {
             let agg = match phases.iter_mut().find(|(name, _)| *name == row.phase) {
@@ -278,16 +299,23 @@ impl ServerStats {
     }
 }
 
+/// The prepared-instance slot of one spec: the first worker to need
+/// the instance fills it, concurrent ones wait on the cell itself.
+type PreparedCell = Arc<OnceLock<PreparedElection>>;
+
 /// One instance-affine shard: its own admission queue, single-flight
-/// table, prepared-instance map and incremental canonicalization
-/// session. Warm state for an instance lives on exactly one shard (the
-/// one its canonical fingerprint routes to).
+/// table and prepared-instance map. Warm state for an instance lives on
+/// exactly one shard (the one its canonical fingerprint routes to).
+///
+/// Lock rule: no lock of a shard is held while an instance is
+/// canonicalized or its classes are computed. `instances` is held only
+/// to fetch or insert a spec's [`PreparedCell`]; preparation runs
+/// through the cell, outside the map.
 struct ShardState {
     queue: Mutex<VecDeque<Job>>,
     queue_cond: Condvar,
     inflight: Mutex<HashMap<String, Arc<JobCell>>>,
-    instances: Mutex<HashMap<String, Arc<PreparedElection>>>,
-    session: Mutex<CanonSession>,
+    instances: Mutex<HashMap<String, PreparedCell>>,
 }
 
 impl ShardState {
@@ -297,7 +325,6 @@ impl ShardState {
             queue_cond: Condvar::new(),
             inflight: Mutex::new(HashMap::new()),
             instances: Mutex::new(HashMap::new()),
-            session: Mutex::new(CanonSession::new()),
         }
     }
 }
@@ -341,6 +368,7 @@ enum Admission {
 }
 
 /// A parsed HTTP request.
+#[derive(Debug)]
 struct HttpRequest {
     method: String,
     path: String,
@@ -350,10 +378,30 @@ struct HttpRequest {
 
 /// Largest request body the daemon accepts.
 const MAX_BODY: usize = 1 << 20;
+/// Longest request or header line the daemon accepts, CRLF included.
+const MAX_HEAD_LINE: usize = 8 * 1024;
+/// Most header lines the daemon accepts in one request.
+const MAX_HEADERS: usize = 100;
 
-fn read_request(stream: &mut BufReader<TcpStream>) -> Result<Option<HttpRequest>, String> {
+/// Read one line of the request head, refusing a line longer than
+/// [`MAX_HEAD_LINE`] instead of buffering it.
+fn read_head_line<R: BufRead>(stream: &mut R, line: &mut String) -> std::io::Result<usize> {
+    let n = stream
+        .by_ref()
+        .take(MAX_HEAD_LINE as u64 + 1)
+        .read_line(line)?;
+    if n > MAX_HEAD_LINE {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!("request head line longer than {MAX_HEAD_LINE} bytes"),
+        ));
+    }
+    Ok(n)
+}
+
+fn read_request<R: BufRead>(stream: &mut R) -> Result<Option<HttpRequest>, String> {
     let mut line = String::new();
-    match stream.read_line(&mut line) {
+    match read_head_line(stream, &mut line) {
         Ok(0) => return Ok(None), // clean EOF between requests
         Ok(_) => {}
         Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(None),
@@ -369,12 +417,17 @@ fn read_request(stream: &mut BufReader<TcpStream>) -> Result<Option<HttpRequest>
     }
     let mut content_length = 0usize;
     let mut keep_alive = true; // HTTP/1.1 default
+    let mut headers = 0usize;
     loop {
         let mut header = String::new();
-        stream.read_line(&mut header).map_err(|e| format!("{e}"))?;
+        read_head_line(stream, &mut header).map_err(|e| format!("{e}"))?;
         let header = header.trim_end();
         if header.is_empty() {
             break;
+        }
+        headers += 1;
+        if headers > MAX_HEADERS {
+            return Err(format!("more than {MAX_HEADERS} header lines"));
         }
         let Some((name, value)) = header.split_once(':') else {
             return Err(format!("malformed header {header:?}"));
@@ -471,7 +524,8 @@ pub fn parse_policy(s: &str) -> Option<Policy> {
 
 /// A parsed, validated `qelect-request/1` body.
 struct ElectRequest {
-    spec: InstanceSpec,
+    /// Shared with the queued job, which prepares the instance from it.
+    spec: Arc<InstanceSpec>,
     /// The registry entry the optional `"protocol"` field resolved to
     /// (the default entry when the field is absent).
     protocol: &'static ProtocolEntry,
@@ -553,7 +607,7 @@ impl ElectRequest {
             _ => 0,
         };
         Ok(ElectRequest {
-            spec,
+            spec: Arc::new(spec),
             protocol,
             engine,
             policy,
@@ -623,7 +677,8 @@ impl Daemon {
 
     /// Admit an election request on its affine shard: coalesce onto an
     /// identical in-flight job, or enqueue a fresh one within the
-    /// shard's admission bound.
+    /// shard's admission bound. Admission never prepares: a coalesced,
+    /// rejected or draining request does no preparation at all.
     fn admit(&self, req: &ElectRequest) -> Admission {
         let shard_idx = self.shard_of(&req.spec);
         let shard = &self.shards[shard_idx];
@@ -650,14 +705,13 @@ impl Daemon {
             self.stats.class(&class, |c| c.rejected += 1);
             return Admission::Full;
         }
-        let prepared = self.prepared_on(shard_idx, &req.spec);
         let cell = Arc::new(JobCell::new());
         inflight.insert(key.clone(), Arc::clone(&cell));
         self.stats.class(&class, |c| c.queued_now += 1);
         queue.push_back(Job {
             key,
             class,
-            prepared,
+            spec: Arc::clone(&req.spec),
             entry: req.protocol,
             cfg: req.run_config(),
             sleep_ms: req.sleep_ms,
@@ -669,36 +723,42 @@ impl Daemon {
         Admission::Wait(cell, false)
     }
 
-    /// The routed equivalent of the old per-daemon instance cache.
-    fn prepared(&self, spec: &InstanceSpec) -> Arc<PreparedElection> {
-        self.prepared_on(self.shard_of(spec), spec)
-    }
-
-    /// The per-instance cache of one shard: spec key → prepared
-    /// instance (graph + placement + oracle verdict), shared across
-    /// requests. A miss warms the canonical-form cache through the
-    /// shard's own [`CanonSession`] (incremental hints chain within a
-    /// shard), records the spec in the durable store, and prepares the
-    /// instance.
-    fn prepared_on(&self, shard_idx: usize, spec: &InstanceSpec) -> Arc<PreparedElection> {
-        let shard = &self.shards[shard_idx];
+    /// The prepared instance of `spec` on one shard, and the time this
+    /// call waited for it (0 when it was already prepared). The map lock
+    /// covers only fetching or inserting the spec's [`PreparedCell`];
+    /// the first caller prepares through the cell — warming the
+    /// canonical-form cache through `session`, recording the spec in the
+    /// durable store, and computing the oracle verdict — while
+    /// concurrent callers for the same spec wait on the cell alone.
+    fn prepared_on(
+        &self,
+        shard_idx: usize,
+        spec: &InstanceSpec,
+        session: &mut CanonSession,
+    ) -> (PreparedCell, u64) {
         let key = spec.key();
-        let mut instances = shard.instances.lock();
-        if let Some(prep) = instances.get(&key) {
-            return Arc::clone(prep);
+        let cell = {
+            let mut instances = self.shards[shard_idx].instances.lock();
+            match instances.get(&key) {
+                Some(cell) => Arc::clone(cell),
+                None => Arc::clone(instances.entry(key.clone()).or_default()),
+            }
+        };
+        if cell.get().is_some() {
+            return (cell, 0);
         }
-        let bc = spec.bicolored().expect("placement validated at parse time");
-        {
-            let mut session = shard.session.lock();
-            let d = ColoredDigraph::from_bicolored(&bc);
-            let _ = gcache::canonicalize_cached_with(&mut session, &d);
-        }
-        let prep = Arc::new(PreparedElection::new(bc));
-        if let Some(store) = &self.store {
-            let _ = store.record_spec(&key);
-        }
-        instances.insert(key, Arc::clone(&prep));
-        prep
+        let started = Instant::now();
+        cell.get_or_init(|| {
+            let bc = spec.bicolored().expect("placement validated at parse time");
+            let _ = gcache::canonicalize_cached_with(session, &ColoredDigraph::from_bicolored(&bc));
+            let prep = PreparedElection::new(bc);
+            if let Some(store) = &self.store {
+                let _ = store.record_spec(&key);
+            }
+            self.stats.prepared.fetch_add(1, Ordering::Relaxed);
+            prep
+        });
+        (cell, started.elapsed().as_micros() as u64)
     }
 
     /// The election-worker loop of one shard: drain its admission
@@ -706,6 +766,8 @@ impl Daemon {
     /// still emptied — that is the graceful part.
     fn worker_loop(&self, shard_idx: usize) {
         let shard = &self.shards[shard_idx];
+        // Incremental canonicalization hints chain within one worker.
+        let mut session = CanonSession::new();
         loop {
             let job = {
                 let mut queue = shard.queue.lock();
@@ -728,12 +790,14 @@ impl Daemon {
             if job.sleep_ms > 0 {
                 std::thread::sleep(Duration::from_millis(job.sleep_ms));
             }
+            let (cell, prepare_us) = self.prepared_on(shard_idx, &job.spec, &mut session);
+            let prepared = cell.get().expect("prepared_on fills the cell");
             let started = Instant::now();
             // Uniform dispatch through the registry entry: for the
             // default protocol this is exactly `PreparedElection::run`
             // (both call `run_election`, a pure function of instance
             // and config), so pre-registry responses are byte-stable.
-            let result = match job.entry.run(job.prepared.instance(), &job.cfg) {
+            let result = match job.entry.run(prepared.instance(), &job.cfg) {
                 Ok(run) => {
                     let run_us = started.elapsed().as_micros() as u64;
                     let outcome = if run.clean_election() {
@@ -743,18 +807,22 @@ impl Daemon {
                     } else {
                         "indeterminate"
                     };
-                    self.stats.record_run(&run.report.metrics, queue_us, run_us);
-                    self.stats.class(&job.class, |c| c.completed += 1);
-                    Ok(ElectionResult {
+                    let result = ElectionResult {
                         outcome,
                         leader: run.report.leader,
                         moves: run.report.metrics.total_moves(),
                         accesses: run.report.metrics.total_accesses(),
                         steps: run.report.metrics.steps,
                         faults: run.faults,
+                        gcd: prepared.gcd(),
+                        solvable: prepared.solvable(),
                         queue_us,
+                        prepare_us,
                         run_us,
-                    })
+                    };
+                    self.stats.record_run(&run.report.metrics, &result);
+                    self.stats.class(&job.class, |c| c.completed += 1);
+                    Ok(result)
                 }
                 Err(e) => Err(format!("run failed: {e}")),
             };
@@ -797,11 +865,9 @@ impl Daemon {
             Some(i) => s.push_str(&format!("  \"leader\": {i},\n")),
             None => s.push_str("  \"leader\": null,\n"),
         }
-        let prep = self.prepared(&req.spec);
         s.push_str(&format!(
             "  \"solvable\": {}, \"gcd\": {},\n",
-            prep.solvable(),
-            prep.gcd()
+            result.solvable, result.gcd
         ));
         s.push_str(&format!(
             "  \"moves\": {}, \"accesses\": {}, \"steps\": {},\n",
@@ -814,8 +880,8 @@ impl Daemon {
             ));
         }
         s.push_str(&format!(
-            "  \"coalesced\": {coalesced}, \"queue_us\": {}, \"run_us\": {}\n",
-            result.queue_us, result.run_us
+            "  \"coalesced\": {coalesced}, \"queue_us\": {}, \"prepare_us\": {}, \"run_us\": {}\n",
+            result.queue_us, result.prepare_us, result.run_us
         ));
         s.push_str("}\n");
         s
@@ -827,15 +893,14 @@ impl Daemon {
     /// single-request response would: under the gated and sim engines a
     /// run is a pure function of `(instance, config)`, so the
     /// batch-vs-sequential differential pins this projection
-    /// byte-for-byte. Timing fields (`queue_us`, `run_us`) are
-    /// measured, not deterministic.
+    /// byte-for-byte. Timing fields (`queue_us`, `prepare_us`, `run_us`)
+    /// are measured, not deterministic.
     fn batch_item_body(
         &self,
         req: &ElectRequest,
         result: &ElectionResult,
         coalesced: bool,
     ) -> String {
-        let prep = self.prepared(&req.spec);
         let mut s = String::new();
         s.push_str(&format!("{{\"spec\": {}, ", escape(&req.spec.key())));
         if req.non_default_protocol() {
@@ -857,11 +922,7 @@ impl Daemon {
         }
         s.push_str(&format!(
             "\"solvable\": {}, \"gcd\": {}, \"moves\": {}, \"accesses\": {}, \"steps\": {}, ",
-            prep.solvable(),
-            prep.gcd(),
-            result.moves,
-            result.accesses,
-            result.steps
+            result.solvable, result.gcd, result.moves, result.accesses, result.steps
         ));
         if result.faults.any() {
             s.push_str(&format!(
@@ -870,8 +931,8 @@ impl Daemon {
             ));
         }
         s.push_str(&format!(
-            "\"coalesced\": {coalesced}, \"queue_us\": {}, \"run_us\": {}}}",
-            result.queue_us, result.run_us
+            "\"coalesced\": {coalesced}, \"queue_us\": {}, \"prepare_us\": {}, \"run_us\": {}}}",
+            result.queue_us, result.prepare_us, result.run_us
         ));
         s
     }
@@ -1010,9 +1071,10 @@ impl Daemon {
             s_.bad_requests.load(Ordering::Relaxed),
         ));
         s.push_str(&format!(
-            "  \"batches\": {}, \"batch_items\": {},\n",
+            "  \"batches\": {}, \"batch_items\": {}, \"prepared\": {},\n",
             s_.batches.load(Ordering::Relaxed),
             s_.batch_items.load(Ordering::Relaxed),
+            s_.prepared.load(Ordering::Relaxed),
         ));
         let depths: Vec<usize> = self.shards.iter().map(|sh| sh.queue.lock().len()).collect();
         s.push_str(&format!(
@@ -1057,11 +1119,12 @@ impl Daemon {
             ));
         }
         s.push_str(&format!(
-            "  \"totals\": {{\"moves\": {}, \"accesses\": {}, \"waits\": {}, \"queue_us\": {}, \"run_us\": {}}},\n",
+            "  \"totals\": {{\"moves\": {}, \"accesses\": {}, \"waits\": {}, \"queue_us\": {}, \"prepare_us\": {}, \"run_us\": {}}},\n",
             s_.moves.load(Ordering::Relaxed),
             s_.accesses.load(Ordering::Relaxed),
             s_.waits.load(Ordering::Relaxed),
             s_.queue_us.load(Ordering::Relaxed),
+            s_.prepare_us.load(Ordering::Relaxed),
             s_.run_us.load(Ordering::Relaxed),
         ));
         let cache = qelect_graph::cache::global().stats();
@@ -1305,10 +1368,11 @@ pub fn start(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
     // Rebuild the prepared instances the previous incarnation served,
     // each on its affine shard (re-validated through the spec grammar —
     // the store's CRC protects bytes, not meaning).
+    let mut session = CanonSession::new();
     for spec_key in replayed_specs {
         if let Ok(spec) = InstanceSpec::parse(&spec_key) {
             if spec.bicolored().is_ok() {
-                let _ = daemon.prepared(&spec);
+                let _ = daemon.prepared_on(daemon.shard_of(&spec), &spec, &mut session);
             }
         }
     }
@@ -1492,6 +1556,42 @@ mod tests {
             r#"{"schema": "qelect-request/1", "spec": "cycle:9@0,1,3", "seed": 1, "protocol": "dp-anon"}"#,
         );
         assert_eq!(dp, dp_alias, "aliases resolve before keying");
+    }
+
+    fn head_with(header_lines: &[String]) -> String {
+        let mut head = String::from("GET /healthz HTTP/1.1\r\n");
+        for line in header_lines {
+            head.push_str(line);
+            head.push_str("\r\n");
+        }
+        head.push_str("\r\n");
+        head
+    }
+
+    #[test]
+    fn request_head_lines_are_capped() {
+        // A header line of exactly the cap (CRLF included) is accepted.
+        let fits = format!("X-Pad: {}", "a".repeat(MAX_HEAD_LINE - 9));
+        let req = read_request(&mut head_with(&[fits]).as_bytes()).unwrap();
+        assert_eq!(req.unwrap().path, "/healthz");
+        // One byte more is refused without buffering the rest.
+        let long = format!("X-Pad: {}", "a".repeat(MAX_HEAD_LINE - 8));
+        let err = read_request(&mut head_with(&[long]).as_bytes()).unwrap_err();
+        assert!(err.contains("longer than"), "{err}");
+        // An over-long request line is refused the same way.
+        let line = format!("GET /{} HTTP/1.1\r\n\r\n", "p".repeat(MAX_HEAD_LINE));
+        assert!(read_request(&mut line.as_bytes()).is_err());
+    }
+
+    #[test]
+    fn request_header_count_is_capped() {
+        let headers: Vec<String> = (0..MAX_HEADERS).map(|i| format!("X-H{i}: v")).collect();
+        assert!(read_request(&mut head_with(&headers).as_bytes())
+            .unwrap()
+            .is_some());
+        let headers: Vec<String> = (0..=MAX_HEADERS).map(|i| format!("X-H{i}: v")).collect();
+        let err = read_request(&mut head_with(&headers).as_bytes()).unwrap_err();
+        assert!(err.contains("header lines"), "{err}");
     }
 
     #[test]

@@ -14,7 +14,7 @@ use qelect_agentsim::{ElectionRun, RunConfig, RunError};
 use qelect_graph::{Bicolored, GraphError};
 
 use crate::elect::run_election;
-use crate::solvability::{elect_succeeds, gcd_of_class_sizes};
+use crate::solvability::gcd_of_class_sizes;
 
 /// An instance prepared for repeated election runs: the placed graph
 /// plus its precomputed oracle verdict.
@@ -37,9 +37,13 @@ impl PreparedElection {
     /// `qelect_graph::cache`, so preparation also warms the cache the
     /// runs will hit.
     pub fn new(bc: Bicolored) -> PreparedElection {
+        // One class lookup: the verdict is the gcd condition itself.
         let gcd = gcd_of_class_sizes(&bc);
-        let solvable = elect_succeeds(&bc);
-        PreparedElection { bc, gcd, solvable }
+        PreparedElection {
+            bc,
+            gcd,
+            solvable: gcd == 1,
+        }
     }
 
     /// Build and place the instance, then prepare it.

@@ -48,15 +48,27 @@ use crate::canon::{
 };
 use crate::digraph::ColoredDigraph;
 use crate::graph::{Graph, GraphBuilder};
-use crate::surrounding::{ordered_classes, EquivClass, OrderedClasses, INCREMENTAL_MIN_N};
+use crate::surrounding::{
+    ordered_classes, ordered_classes_with_orbits, EquivClass, OrderedClasses, INCREMENTAL_MIN_N,
+};
 
 /// A structural fingerprint function over an encoded key.
 pub type Fingerprinter = fn(&[u64]) -> u64;
 
+/// The FNV-1a offset basis: the state [`fnv_extend`] starts from.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
 /// FNV-1a over the `u64` words of an encoded key — the default cheap
 /// structural fingerprint.
 pub fn fnv_fingerprint(words: &[u64]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv_extend(FNV_OFFSET, words)
+}
+
+/// Continue an FNV-1a hash from state `h` over more words, so a key can
+/// be hashed piecewise without being collected first:
+/// `fnv_extend(fnv_extend(FNV_OFFSET, a), b)` equals the fingerprint of
+/// `a` followed by `b`.
+pub fn fnv_extend(mut h: u64, words: &[u64]) -> u64 {
     for &w in words {
         for shift in [0u32, 16, 32, 48] {
             h ^= (w >> shift) & 0xffff;
@@ -357,6 +369,22 @@ pub fn encode_bicolored_permuted(bc: &Bicolored, perm: &[usize]) -> Vec<u64> {
     key
 }
 
+/// The orbit labels of `canon` carried onto its canonical representative
+/// (node `labeling[v]` of the representative is node `v` here), or `None`
+/// when the labels are not a well-formed partition — a result replayed
+/// from a damaged store then falls back to per-node canonicalization.
+fn representative_orbits(canon: &CanonResult) -> Option<Vec<u32>> {
+    let n = canon.labeling.len();
+    if canon.orbits.len() != n || canon.orbits.iter().any(|&o| o as usize >= n) {
+        return None;
+    }
+    let mut orbits = vec![0u32; n];
+    for (old, &new) in canon.labeling.iter().enumerate() {
+        *orbits.get_mut(new)? = canon.orbits[old];
+    }
+    Some(orbits)
+}
+
 /// Relabel a bi-colored instance by `perm` (`old → new`), carrying the
 /// port labels of each edge endpoint along. Used to map an instance to
 /// its canonical representative before a class-cache lookup.
@@ -571,7 +599,7 @@ pub fn ordered_classes_cached_with(session: &mut CanonSession, bc: &Bicolored) -
     }
     let d = ColoredDigraph::from_bicolored(bc);
     let canon = canon_insert(caches, encode_digraph(&d), || session.compute(&d));
-    translate_classes(bc, &canon.labeling)
+    translate_classes(bc, &canon)
 }
 
 /// [`canonicalize`] through the global memo cache.
@@ -598,19 +626,29 @@ pub fn ordered_classes_cached(bc: &Bicolored) -> OrderedClasses {
     }
     let d = ColoredDigraph::from_bicolored(bc);
     let canon = canon_insert(caches, encode_digraph(&d), || canonicalize(&d));
-    translate_classes(bc, &canon.labeling)
+    translate_classes(bc, &canon)
 }
 
 /// Shared tail of the class-cache lookup: fetch (or compute) the classes
-/// of the canonical representative under `perm` (`old → new`), then
-/// translate the class node-sets back to this instance's labeling.
-fn translate_classes(bc: &Bicolored, perm: &[usize]) -> OrderedClasses {
+/// of the canonical representative under `canon.labeling` (`old → new`),
+/// then translate the class node-sets back to this instance's labeling.
+///
+/// A miss reuses the automorphism orbits the instance canonicalization
+/// already found: only one surrounding per orbit is canonicalized
+/// ([`ordered_classes_with_orbits`]), byte-identical to the per-node
+/// computation.
+fn translate_classes(bc: &Bicolored, canon: &CanonResult) -> OrderedClasses {
     let caches = global();
+    let perm = &canon.labeling;
     let oc = caches
         .classes
         .get_or_insert_with(encode_bicolored_permuted(bc, perm), || {
             // Only a miss pays for materializing the representative.
-            ordered_classes(&relabel_bicolored(bc, perm))
+            let rep = relabel_bicolored(bc, perm);
+            match representative_orbits(canon) {
+                Some(orbits) => ordered_classes_with_orbits(&rep, &orbits),
+                None => ordered_classes(&rep),
+            }
         });
     // Translate the canonical class node-sets back to this instance's
     // labeling: new → old.
@@ -644,6 +682,16 @@ mod tests {
 
     fn instance(n: usize, homes: &[usize]) -> Bicolored {
         Bicolored::new(families::cycle(n).unwrap(), homes).unwrap()
+    }
+
+    #[test]
+    fn fnv_extends_piecewise() {
+        let words = [1u64, 0xdead_beef, 7, u64::MAX];
+        assert_eq!(
+            fnv_extend(fnv_extend(FNV_OFFSET, &words[..2]), &words[2..]),
+            fnv_fingerprint(&words)
+        );
+        assert_eq!(fnv_fingerprint(&[]), FNV_OFFSET);
     }
 
     #[test]

@@ -120,14 +120,37 @@ pub fn gcd(a: usize, b: usize) -> usize {
 /// order them per the paper: black classes first (by `≺`), then white
 /// classes (by `≺`).
 pub fn ordered_classes(bc: &Bicolored) -> OrderedClasses {
+    let singletons: Vec<u32> = (0..bc.n() as u32).collect();
+    ordered_classes_with_orbits(bc, &singletons)
+}
+
+/// [`ordered_classes`] given a partition of the nodes into orbits of
+/// color-preserving automorphisms (`orbits[v]` is the orbit label of `v`,
+/// every label `< n`): only the first node of each orbit has its
+/// surrounding canonicalized, and the other members take that form.
+///
+/// Automorphic nodes have isomorphic surroundings, hence equal forms, so
+/// the result is byte-identical to [`ordered_classes`] for any partition
+/// no coarser than the true orbits — a finer one (down to all
+/// singletons) only costs more canonicalizations, because equal forms
+/// from distinct orbits are still merged into one class.
+pub fn ordered_classes_with_orbits(bc: &Bicolored, orbits: &[u32]) -> OrderedClasses {
+    assert_eq!(orbits.len(), bc.n(), "one orbit label per node");
     let mut by_form: Vec<(CanonicalForm, bool, Vec<NodeId>)> = Vec::new();
+    // Orbit label → index of its class in `by_form`, once computed.
+    let mut class_of_orbit = vec![usize::MAX; bc.n()];
     // The surroundings S(u) for the n roots share node set, colors, and
     // most arcs (only edges whose endpoints swap distance order flip).
     // On large instances, canonicalize the first root traced and replay
     // its root refinement for every other root — byte-identical forms,
     // fraction of the work (DESIGN §13).
     let mut hint = None;
-    for u in 0..bc.n() {
+    for (u, &orbit) in orbits.iter().enumerate() {
+        let orbit = orbit as usize;
+        if class_of_orbit[orbit] != usize::MAX {
+            by_form[class_of_orbit[orbit]].2.push(u);
+            continue;
+        }
         let s = surrounding(bc, u);
         let form = if bc.n() < INCREMENTAL_MIN_N {
             canonicalize(&s).form
@@ -141,10 +164,16 @@ pub fn ordered_classes(bc: &Bicolored) -> OrderedClasses {
                 Some(h) => canonicalize_with_hint(&s, h).form,
             }
         };
-        match by_form.iter_mut().find(|(f, _, _)| *f == form) {
-            Some((_, _, nodes)) => nodes.push(u),
-            None => by_form.push((form, bc.is_black(u), vec![u])),
-        }
+        class_of_orbit[orbit] = match by_form.iter().position(|(f, _, _)| *f == form) {
+            Some(idx) => {
+                by_form[idx].2.push(u);
+                idx
+            }
+            None => {
+                by_form.push((form, bc.is_black(u), vec![u]));
+                by_form.len() - 1
+            }
+        };
     }
     let mut classes: Vec<EquivClass> = by_form
         .into_iter()
@@ -302,6 +331,33 @@ mod tests {
             }
         }
         assert_eq!(oc.gcd_of_sizes(), 2, "antipodal homes stay unsolvable");
+    }
+
+    #[test]
+    fn orbit_reuse_matches_per_node_classes() {
+        // The true orbits (from the instance canonicalization) and the
+        // all-singleton partition both reproduce the per-node result
+        // byte for byte, including on the hint path (cycle:34).
+        let instances = [
+            (families::cycle(34).unwrap(), vec![0usize, 17]),
+            (families::cycle(9).unwrap(), vec![0, 1, 3]),
+            (families::hypercube(3).unwrap(), vec![0, 7]),
+            (families::petersen().unwrap(), vec![0, 1]),
+        ];
+        for (g, homes) in instances {
+            let bc = Bicolored::new(g, &homes).unwrap();
+            let eager = format!("{:?}", ordered_classes(&bc));
+            let orbits = canonicalize(&ColoredDigraph::from_bicolored(&bc)).orbits;
+            assert_eq!(
+                format!("{:?}", ordered_classes_with_orbits(&bc, &orbits)),
+                eager
+            );
+            let singletons: Vec<u32> = (0..bc.n() as u32).collect();
+            assert_eq!(
+                format!("{:?}", ordered_classes_with_orbits(&bc, &singletons)),
+                eager
+            );
+        }
     }
 
     #[test]

@@ -9,7 +9,9 @@ use qelect_graph::canon::{are_isomorphic, canonicalize};
 use qelect_graph::digraph::Arc;
 use qelect_graph::graph::{GraphBuilder, Port};
 use qelect_graph::refine::refine_to_stable;
-use qelect_graph::surrounding::{ordered_classes, surrounding, OrderedClasses};
+use qelect_graph::surrounding::{
+    ordered_classes, ordered_classes_with_orbits, surrounding, OrderedClasses,
+};
 use qelect_graph::view::{view_partition, views_equal_by_trees};
 use qelect_graph::{families, labeling, Bicolored, ColoredDigraph};
 
@@ -18,6 +20,26 @@ fn instance() -> impl Strategy<Value = Bicolored> {
     (3usize..9, 0.1f64..0.6, any::<u64>(), 0usize..3).prop_map(|(n, p, seed, r)| {
         let g = families::random_connected(n, p, seed).unwrap();
         let homes: Vec<usize> = (0..r.min(n)).collect();
+        Bicolored::new(g, &homes).unwrap()
+    })
+}
+
+/// A small instance that is often symmetric (so its automorphism orbits
+/// are coarser than singletons): cycles, circulants, hypercubes, the
+/// Petersen graph, complete and random graphs, with 0–3 agents placed by
+/// a random permutation.
+fn symmetric_instance() -> impl Strategy<Value = Bicolored> {
+    (0usize..6, 3usize..13, any::<u64>(), 0usize..4).prop_map(|(family, n, seed, r)| {
+        let g = match family {
+            0 => families::cycle(n),
+            1 => families::circulant(n.max(5), &[1, 2]),
+            2 => families::hypercube(2 + n % 2),
+            3 => families::petersen(),
+            4 => families::complete(n.min(6)),
+            _ => families::random_connected(n, 0.4, seed),
+        }
+        .unwrap();
+        let homes: Vec<usize> = perm_of(g.n(), seed).into_iter().take(r).collect();
         Bicolored::new(g, &homes).unwrap()
     })
 }
@@ -226,6 +248,29 @@ proptest! {
             encode_bicolored_permuted(&bc, &perm),
             encode_bicolored(&rebuild_relabeled(&bc, &perm))
         );
+    }
+
+    #[test]
+    fn orbit_reuse_is_byte_identical(
+        bc in symmetric_instance(),
+        port_seed in any::<u64>(),
+        node_seed in any::<u64>(),
+    ) {
+        // The class-cache miss path canonicalizes one surrounding per
+        // automorphism orbit. Under any port relabeling and node
+        // relabeling, both the true orbit partition and the
+        // all-singleton one must reproduce the per-node classes exactly.
+        let ports = labeling::scramble(bc.graph(), port_seed).unwrap();
+        let scrambled = Bicolored::new(ports, bc.homebases()).unwrap();
+        let relabeled = rebuild_relabeled(&scrambled, &perm_of(bc.n(), node_seed));
+        for inst in [&bc, &scrambled, &relabeled] {
+            let eager = ordered_classes(inst);
+            let orbits = canonicalize(&ColoredDigraph::from_bicolored(inst)).orbits;
+            assert_classes_identical(&ordered_classes_with_orbits(inst, &orbits), &eager)?;
+            let singletons: Vec<u32> = (0..inst.n() as u32).collect();
+            assert_classes_identical(&ordered_classes_with_orbits(inst, &singletons), &eager)?;
+            assert_classes_identical(&ordered_classes_cached(inst), &eager)?;
+        }
     }
 
     #[test]

@@ -764,3 +764,135 @@ fn truncated_store_tail_is_tolerated() {
     third.shutdown();
     let _ = std::fs::remove_file(&path);
 }
+
+/// An instance that takes on the order of a second to prepare, sized for
+/// the build profile: the agents at `homes` break every symmetry of the
+/// cycle, so computing its classes canonicalizes one surrounding per
+/// node. Each test passes its own placement, so the instance is new to
+/// the process-wide caches.
+fn slow_spec(homes: &str) -> String {
+    let n = if cfg!(debug_assertions) { 200 } else { 450 };
+    format!("cycle:{n}@{homes}")
+}
+
+fn num_field(obj: &[(String, Value)], field: &str) -> f64 {
+    get(obj, field)
+        .and_then(Value::as_num)
+        .unwrap_or_else(|| panic!("no numeric {field:?}"))
+}
+
+#[test]
+fn slow_preparation_does_not_stall_its_shard() {
+    let server = spawn(ServeConfig {
+        workers: 2,
+        ..test_config()
+    });
+    let addr = server.addr();
+    // Prepare the small instance first, so it is a prepared-cache hit
+    // on the one shard the slow instance also lands on.
+    let small = |seed| elect_body("cycle:9@0,1,3", seed, "");
+    let (code, body) = http(addr, "POST", "/v1/elect", &small(1));
+    assert_eq!(code, 200, "{body}");
+    let slow = elect_body(&slow_spec("0,1,3"), 1, "");
+    let prepared = || {
+        let (_, body) = http(addr, "GET", "/metrics", "");
+        num_field(&parse_response(&body), "prepared")
+    };
+    std::thread::scope(|scope| {
+        let slow_request = scope.spawn(|| http(addr, "POST", "/v1/elect", &slow));
+        std::thread::sleep(Duration::from_millis(100));
+        // One worker is preparing the slow instance; the other serves
+        // the cached one, and admission never waits on the preparation.
+        let (code, body) = http(addr, "POST", "/v1/elect", &small(2));
+        assert_eq!(code, 200, "{body}");
+        let resp = parse_response(&body);
+        assert_eq!(num_field(&resp, "prepare_us"), 0.0, "a prepared hit");
+        let (code, body) = http(addr, "GET", "/healthz", "");
+        assert_eq!(code, 200, "{body}");
+        assert_eq!(
+            prepared(),
+            1.0,
+            "the cached instance and /healthz must answer while the slow one prepares"
+        );
+        let (code, body) = slow_request.join().unwrap();
+        assert_eq!(code, 200, "{body}");
+        let resp = parse_response(&body);
+        assert_eq!(get(&resp, "outcome").unwrap().as_str(), Some("elected"));
+        assert!(num_field(&resp, "prepare_us") > 0.0, "{body}");
+    });
+    assert_eq!(prepared(), 2.0);
+    server.shutdown();
+}
+
+#[test]
+fn concurrent_requests_prepare_a_new_instance_once() {
+    let server = spawn(ServeConfig {
+        workers: 2,
+        ..test_config()
+    });
+    let addr = server.addr();
+    let spec = slow_spec("0,1,4");
+    let waited = AtomicU64::new(0);
+    std::thread::scope(|scope| {
+        for seed in 0..8u64 {
+            let (spec, waited) = (&spec, &waited);
+            scope.spawn(move || {
+                // Distinct seeds: eight jobs, none coalesced, all on the
+                // one new instance.
+                let (code, body) = http(addr, "POST", "/v1/elect", &elect_body(spec, seed, ""));
+                assert_eq!(code, 200, "seed {seed}: {body}");
+                let resp = parse_response(&body);
+                assert_eq!(get(&resp, "outcome").unwrap().as_str(), Some("elected"));
+                assert_eq!(get(&resp, "coalesced").unwrap().as_bool(), Some(false));
+                if num_field(&resp, "prepare_us") > 0.0 {
+                    waited.fetch_add(1, Ordering::SeqCst);
+                }
+            });
+        }
+    });
+    assert!(waited.load(Ordering::SeqCst) >= 1, "someone prepared it");
+    let (_, body) = http(addr, "GET", "/metrics", "");
+    let metrics = parse_response(&body);
+    assert_eq!(num_field(&metrics, "completed"), 8.0);
+    assert_eq!(num_field(&metrics, "prepared"), 1.0, "{body}");
+    let totals = get(&metrics, "totals").unwrap().as_object().unwrap();
+    assert!(num_field(totals, "prepare_us") > 0.0, "{body}");
+    server.shutdown();
+}
+
+#[test]
+fn identical_requests_coalesce_while_the_instance_prepares() {
+    let server = spawn(ServeConfig {
+        workers: 2,
+        ..test_config()
+    });
+    let addr = server.addr();
+    let body = elect_body(&slow_spec("0,2,5"), 3, "");
+    let coalesced = AtomicU64::new(0);
+    std::thread::scope(|scope| {
+        for wait_ms in [0u64, 100, 100] {
+            let (body, coalesced) = (&body, &coalesced);
+            scope.spawn(move || {
+                std::thread::sleep(Duration::from_millis(wait_ms));
+                let (code, resp_body) = http(addr, "POST", "/v1/elect", body);
+                assert_eq!(code, 200, "{resp_body}");
+                let resp = parse_response(&resp_body);
+                assert_eq!(get(&resp, "outcome").unwrap().as_str(), Some("elected"));
+                if get(&resp, "coalesced").unwrap().as_bool() == Some(true) {
+                    coalesced.fetch_add(1, Ordering::SeqCst);
+                }
+            });
+        }
+    });
+    assert_eq!(
+        coalesced.load(Ordering::SeqCst),
+        2,
+        "both later arrivals attach to the preparing job"
+    );
+    let (_, body) = http(addr, "GET", "/metrics", "");
+    let metrics = parse_response(&body);
+    assert_eq!(num_field(&metrics, "completed"), 1.0);
+    assert_eq!(num_field(&metrics, "coalesced"), 2.0);
+    assert_eq!(num_field(&metrics, "prepared"), 1.0, "{body}");
+    server.shutdown();
+}
