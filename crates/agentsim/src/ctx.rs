@@ -1,8 +1,8 @@
 //! The agent's view of the world: the [`MobileCtx`] trait.
 //!
 //! Protocol code is written once, generically over `MobileCtx`, and runs
-//! unchanged on the deterministic gated engine and on the free-running
-//! parallel engine. The trait exposes exactly the capabilities the
+//! unchanged on the gated engine and (through [`MobileCtxAsync`]) on the
+//! sim engine. The trait exposes exactly the capabilities the
 //! paper's model grants an agent at a node: its own color, the local
 //! degree, the port it entered through, the whiteboard (read or atomic
 //! read-modify-write under mutual exclusion), moving through a port, and

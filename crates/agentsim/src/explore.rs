@@ -391,9 +391,8 @@ pub struct ExploreSession<'a> {
 }
 
 impl<'a> ExploreSession<'a> {
-    /// A session for a registry protocol: `entry` must be explorable and
-    /// support `cfg.engine`, which must be deterministic (gated or sim).
-    /// The gated slice of `cfg` (seed, policy, step budget, scrambling)
+    /// A session for a registry protocol: `entry` must be explorable.
+    /// The engine-level slice of `cfg` (seed, policy, step budget, scrambling)
     /// configures every run of the session.
     pub fn from_entry(
         entry: &'static ProtocolEntry,
@@ -406,18 +405,6 @@ impl<'a> ExploreSession<'a> {
                 entry.id
             )
         })?;
-        if cfg.engine == Engine::Free {
-            return Err(
-                "exploration needs a deterministic engine: use the gated or sim engine".into(),
-            );
-        }
-        if !entry.supports(cfg.engine) {
-            return Err(format!(
-                "protocol '{}' does not support engine '{}'",
-                entry.id,
-                cfg.engine.name()
-            ));
-        }
         Ok(ExploreSession::from_spec(
             spec,
             bc,
@@ -428,7 +415,7 @@ impl<'a> ExploreSession<'a> {
 
     /// A session directly from an [`ExploreSpec`] (the registry-native
     /// building block [`ExploreSession::from_entry`] wraps; callers that
-    /// already hold a spec and have validated the engine use this).
+    /// already hold a spec use this).
     pub fn from_spec(
         spec: &'static ExploreSpec,
         bc: &'a Bicolored,

@@ -110,6 +110,39 @@ impl RunReport {
         self.outcomes.iter().all(|o| *o == AgentOutcome::Unsolvable)
     }
 
+    /// Everything two runs of the same configuration must share — on
+    /// one engine across replays, or across gated and sim — formatted
+    /// for `assert_eq!` diffs: outcomes, leader, interrupt, schedule,
+    /// events, raw counters, checkpoints, fault activity and every
+    /// closed span's exclusive cost. Cache counters are excluded: they
+    /// are process-global memo traffic, not run behavior.
+    pub fn fingerprint(&self) -> String {
+        let m = &self.metrics;
+        let spans: Vec<String> = m
+            .spans
+            .iter()
+            .map(|s| {
+                let (mv, a, w) = s.exclusive();
+                format!("{}:{}:{mv}:{a}:{w}", s.agent, s.name)
+            })
+            .collect();
+        format!(
+            "outcomes={:?}\nleader={:?}\ninterrupted={:?}\ntrace={:?}\nevents={:?}\n\
+             per_agent={:?}\nsteps={}\npreemptions={}\ncheckpoints={:?}\nfaults={:?}\nspans={}",
+            self.outcomes,
+            self.leader,
+            self.interrupted,
+            self.trace,
+            self.events,
+            m.per_agent,
+            m.steps,
+            m.preemptions,
+            m.checkpoints,
+            m.faults,
+            spans.join(","),
+        )
+    }
+
     /// Package the recorded schedule and events as a [`Trace`] (the run
     /// must have been made with [`RunConfig::record_trace`] set for the
     /// trace to be non-trivial).

@@ -21,20 +21,18 @@
 //!   replayable adversary. The synchronous-lockstep scheduler of the
 //!   paper's Section 1.3 impossibility argument is provided.
 //!
-//! Three execution engines run the *same* protocol code (written once
-//! against the [`ctx::MobileCtxAsync`] trait; [`ctx::SyncCtx`] adapts it
-//! to the blocking [`ctx::MobileCtx`] engines):
+//! Two deterministic execution engines run the *same* protocol code
+//! (written once against the [`ctx::MobileCtxAsync`] trait;
+//! [`ctx::SyncCtx`] adapts it to the blocking [`ctx::MobileCtx`] engine):
 //!
-//! * [`gated`] — deterministic: agents live on OS threads but execute one
-//!   primitive at a time, in scheduler order; detects deadlocks and
-//!   enforces step budgets (so impossibility arguments terminate).
-//! * [`sim`] — deterministic and **single-threaded**: the same gate
-//!   semantics as a discrete-event simulation over virtual time
-//!   (byte-identical metrics, traces and fault addressing), with no
-//!   per-step thread handoffs — the engine for 10⁴–10⁵-node instances.
-//! * [`freerun`] — fully parallel: agents run concurrently with
-//!   `parking_lot` mutexes and condvars; used by the throughput
-//!   benchmarks.
+//! * [`sim`] — the default, **single-threaded**: the gate semantics as a
+//!   discrete-event simulation over virtual time, with no per-step
+//!   thread handoffs — the engine for 10⁴–10⁵-node instances.
+//! * [`gated`] — the differential oracle: agents live on OS threads but
+//!   execute one primitive at a time, in scheduler order; detects
+//!   deadlocks and enforces step budgets (so impossibility arguments
+//!   terminate). Sim is pinned byte-identical to it on metrics, traces
+//!   and fault addressing.
 //!
 //! [`message_net`] implements the paper's Fig. 1 transformation: a
 //! mobile-agent protocol expressed as an explicit state machine
@@ -56,7 +54,7 @@
 //! use qelect_graph::{families, Bicolored};
 //!
 //! // A one-agent protocol: read the home whiteboard, claim leadership.
-//! // The one async body runs on all three engines.
+//! // The one async body runs on both engines.
 //! #[derive(Clone)]
 //! struct ClaimHome;
 //! impl Protocol for ClaimHome {
@@ -84,7 +82,6 @@ pub mod coverage;
 pub mod ctx;
 pub mod explore;
 pub mod fault;
-pub mod freerun;
 pub mod gated;
 pub mod json;
 pub mod message_net;

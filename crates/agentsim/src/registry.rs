@@ -48,15 +48,11 @@ impl fmt::Display for ProtocolId {
 }
 
 /// What a registered protocol can do — the flags every surface consults
-/// instead of hard-coding per-protocol special cases.
+/// instead of hard-coding per-protocol special cases. (Every protocol is
+/// a [`Protocol`] and runs on both engines, so engines are not a
+/// capability.)
 #[derive(Debug, Clone, Copy)]
 pub struct ProtocolCaps {
-    /// Engines the protocol runs on. Protocols written over
-    /// [`MobileCtxAsync`] support all three; legacy gated-only drivers
-    /// list `[Engine::Gated]`.
-    ///
-    /// [`MobileCtxAsync`]: crate::MobileCtxAsync
-    pub engines: &'static [Engine],
     /// Whether the protocol recovers from crash faults (restarted
     /// incarnations rebuild from whiteboard state alone).
     pub fault_recoverable: bool,
@@ -88,8 +84,7 @@ pub type WitnessFn = fn(&Bicolored) -> Result<Trace, String>;
 pub struct ExploreSpec {
     /// Run one schedule: execute the protocol on the instance under the
     /// given scheduler. Must be a pure function of the grant sequence on
-    /// both deterministic engines ([`Engine::Gated`] and [`Engine::Sim`];
-    /// [`Engine::Free`] has no grant sequence and is never passed).
+    /// both engines ([`Engine::Gated`] and [`Engine::Sim`]).
     pub run: fn(
         &Bicolored,
         &gated::RunConfig,
@@ -138,8 +133,6 @@ pub struct ProtocolEntry {
     /// Capability flags.
     pub caps: ProtocolCaps,
     /// Run the protocol on an instance (engine and knobs from `cfg`).
-    /// Called through [`ProtocolEntry::run`], which gates on
-    /// `caps.engines` first.
     pub runner: fn(&Bicolored, &RunConfig) -> Result<ElectionRun, RunError>,
     /// Schedule exploration: the deterministic driver + property, when
     /// the protocol is explorable (`None` otherwise — and the CLI's
@@ -163,35 +156,24 @@ impl fmt::Debug for ProtocolEntry {
 }
 
 impl ProtocolEntry {
-    /// Whether the entry supports `engine`.
-    pub fn supports(&self, engine: Engine) -> bool {
-        self.caps.engines.contains(&engine)
-    }
-
-    /// Run the protocol on `bc` as described by `cfg`, after checking
-    /// the engine against the entry's capability flags — an unsupported
-    /// engine is a typed [`RunError::UnsupportedEngine`], not a panic.
+    /// Run the protocol on `bc` as described by `cfg`. Instances outside
+    /// the protocol's domain come back as a typed [`RunError`], never as
+    /// a panic on the caller's thread.
     pub fn run(&self, bc: &Bicolored, cfg: &RunConfig) -> Result<ElectionRun, RunError> {
-        if !self.supports(cfg.engine) {
-            return Err(RunError::UnsupportedEngine {
-                protocol: self.id.name(),
-                engine: cfg.engine.name(),
-            });
-        }
         (self.runner)(bc, cfg)
     }
 }
 
-/// Fresh gated agent programs that each run one clone of `protocol` —
-/// the standard way an [`ExploreSpec::run`] driver builds its agents for
-/// protocols implementing [`Protocol`].
+/// Fresh gated agent programs, agent `i` running
+/// `protocol.for_agent(i)` — the standard way an [`ExploreSpec::run`]
+/// driver builds its agents for protocols implementing [`Protocol`].
 pub fn protocol_agents<P>(protocol: P, bc: &Bicolored) -> Vec<GatedAgent>
 where
     P: Protocol + Clone + Send + 'static,
 {
     (0..bc.r())
-        .map(|_| -> GatedAgent {
-            let p = protocol.clone();
+        .map(|i| -> GatedAgent {
+            let p = protocol.for_agent(i);
             Box::new(move |ctx| p.run(ctx))
         })
         .collect()

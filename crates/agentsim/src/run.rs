@@ -3,12 +3,12 @@
 //!
 //! Historically each way of running a protocol had its own entry point
 //! with its own config type — `gated::run_gated` (policy scheduling),
-//! `gated::run_gated_with` (replay / exploration), `freerun::run_free`
-//! (true parallelism) — and every caller (qelectctl, the sweep engine,
-//! the test suites) re-assembled the same plumbing by hand. [`run`]
-//! collapses them: describe the run declaratively with a [`RunConfig`],
-//! hand over anything implementing [`Protocol`], and get back an
-//! [`ElectionRun`] or a typed [`RunError`]. The old free functions are
+//! `gated::run_gated_with` (replay / exploration) — and every caller
+//! (qelectctl, the sweep engine, the test suites) re-assembled the same
+//! plumbing by hand. [`run`] collapses them: describe the run
+//! declaratively with a [`RunConfig`], hand over anything implementing
+//! [`Protocol`], and get back an [`ElectionRun`] or a typed
+//! [`RunError`]. The old free functions are
 //! gone; every caller comes through this path (protocols with stable
 //! wire names resolve here via [`crate::registry`]).
 //!
@@ -18,28 +18,25 @@
 
 use crate::ctx::{poll_now, AgentOutcome, Interrupt, MobileCtx, MobileCtxAsync, SyncCtx};
 use crate::fault::{FaultPlan, FaultSummary};
-use crate::freerun::{try_run_free, FreeAgent, FreeRunConfig};
 use crate::gated::{self, GatedAgent, RunReport};
 use crate::sched::{Policy, ReplayScheduler};
 use qelect_graph::Bicolored;
 use std::fmt;
-use std::time::Duration;
 
-/// Which execution engine carries the run.
+/// Which execution engine carries the run. Both are deterministic: the
+/// run is a pure function of `(instance, protocol, policy, seed, fault
+/// plan)`, and the two produce byte-identical reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
-    /// The deterministic scheduler-gated engine (default): every
-    /// primitive passes through a grant gate, the run is a pure function
-    /// of `(instance, protocol, policy, seed, fault plan)`.
+    /// The scheduler-gated thread engine, kept as the differential
+    /// oracle: one OS thread per agent, every primitive passes through a
+    /// grant gate.
     Gated,
-    /// The free-running engine: one OS thread per agent, genuine
-    /// parallelism, schedule-dependent interleavings.
-    Free,
-    /// The single-threaded discrete-event engine ([`crate::sim`]):
-    /// agents are event-driven state machines over virtual time, no OS
-    /// threads, byte-identical to [`Engine::Gated`] on metrics, traces
-    /// and fault addressing — and orders of magnitude faster per step,
-    /// which is what unlocks 10⁴–10⁵-node instances.
+    /// The single-threaded discrete-event engine ([`crate::sim`]), the
+    /// default: agents are event-driven state machines over virtual
+    /// time, no OS threads, byte-identical to [`Engine::Gated`] on
+    /// metrics, traces and fault addressing — and orders of magnitude
+    /// faster per step, which is what unlocks 10⁴–10⁵-node instances.
     Sim,
 }
 
@@ -48,13 +45,12 @@ impl Engine {
     pub fn name(&self) -> &'static str {
         match self {
             Engine::Gated => "gated",
-            Engine::Free => "free",
             Engine::Sim => "sim",
         }
     }
 }
 
-/// A recorded grant schedule to replay (gated engine only).
+/// A recorded grant schedule to replay.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReplaySpec {
     /// The grant sequence (agent index per scheduler step).
@@ -67,31 +63,25 @@ pub struct ReplaySpec {
 
 /// Declarative description of one run, consumed by [`run`].
 ///
-/// Build it fluently: `RunConfig::new(7).engine(Engine::Free).faults(plan)`.
-/// Defaults mirror the per-engine config defaults
-/// ([`gated::RunConfig`], [`FreeRunConfig`]).
+/// Build it fluently: `RunConfig::new(7).engine(Engine::Gated).faults(plan)`.
+/// Defaults mirror the engine config defaults ([`gated::RunConfig`]).
 #[derive(Debug, Clone)]
 pub struct RunConfig {
     /// Master seed: colors, port scrambles, and the random policy.
     pub seed: u64,
     /// Which engine executes the run.
     pub engine: Engine,
-    /// Scheduling policy (gated engine; ignored by freerun).
+    /// Scheduling policy.
     pub policy: Policy,
-    /// Step budget (gated engine).
+    /// Step budget.
     pub max_steps: u64,
-    /// Wall-clock watchdog (freerun engine).
-    pub timeout: Duration,
-    /// Operation budget (freerun engine).
-    pub max_ops: u64,
     /// Per-agent scrambled port numberings.
     pub scramble_ports: bool,
-    /// Record the grant schedule + per-primitive event log (gated).
+    /// Record the grant schedule + per-primitive event log.
     pub record_trace: bool,
     /// Faults to inject (empty plan = crash-free run).
     pub faults: FaultPlan,
-    /// Replay a recorded schedule instead of consulting `policy`
-    /// (gated engine only; ignored by freerun, which has no schedule).
+    /// Replay a recorded schedule instead of consulting `policy`.
     pub replay: Option<ReplaySpec>,
 }
 
@@ -102,17 +92,14 @@ impl Default for RunConfig {
 }
 
 impl RunConfig {
-    /// A gated-engine config with the given seed and all defaults.
+    /// A sim-engine config with the given seed and all defaults.
     pub fn new(seed: u64) -> RunConfig {
         let g = gated::RunConfig::default();
-        let f = FreeRunConfig::default();
         RunConfig {
             seed,
-            engine: Engine::Gated,
+            engine: Engine::Sim,
             policy: g.policy,
             max_steps: g.max_steps,
-            timeout: f.timeout,
-            max_ops: f.max_ops,
             scramble_ports: g.scramble_ports,
             record_trace: false,
             faults: FaultPlan::none(),
@@ -126,27 +113,15 @@ impl RunConfig {
         self
     }
 
-    /// Select the gated scheduling policy.
+    /// Select the scheduling policy.
     pub fn policy(mut self, policy: Policy) -> Self {
         self.policy = policy;
         self
     }
 
-    /// Set the gated step budget.
+    /// Set the step budget.
     pub fn max_steps(mut self, max_steps: u64) -> Self {
         self.max_steps = max_steps;
-        self
-    }
-
-    /// Set the freerun wall-clock watchdog.
-    pub fn timeout(mut self, timeout: Duration) -> Self {
-        self.timeout = timeout;
-        self
-    }
-
-    /// Set the freerun operation budget.
-    pub fn max_ops(mut self, max_ops: u64) -> Self {
-        self.max_ops = max_ops;
         self
     }
 
@@ -156,7 +131,7 @@ impl RunConfig {
         self
     }
 
-    /// Enable/disable trace recording (gated).
+    /// Enable/disable trace recording.
     pub fn record_trace(mut self, on: bool) -> Self {
         self.record_trace = on;
         self
@@ -168,13 +143,13 @@ impl RunConfig {
         self
     }
 
-    /// Replay a recorded grant schedule (gated).
+    /// Replay a recorded grant schedule.
     pub fn replay(mut self, schedule: Vec<usize>, strict: bool) -> Self {
         self.replay = Some(ReplaySpec { schedule, strict });
         self
     }
 
-    /// The gated-engine slice of this config.
+    /// The engine-level slice of this config (both engines take it).
     pub fn to_gated(&self) -> gated::RunConfig {
         gated::RunConfig {
             seed: self.seed,
@@ -182,16 +157,6 @@ impl RunConfig {
             max_steps: self.max_steps,
             scramble_ports: self.scramble_ports,
             record_trace: self.record_trace,
-        }
-    }
-
-    /// The freerun-engine slice of this config.
-    pub fn to_free(&self) -> FreeRunConfig {
-        FreeRunConfig {
-            seed: self.seed,
-            timeout: self.timeout,
-            max_ops: self.max_ops,
-            scramble_ports: self.scramble_ports,
         }
     }
 }
@@ -226,14 +191,6 @@ pub enum RunError {
         /// Which handoff broke.
         stage: &'static str,
     },
-    /// The protocol's registry entry does not support the requested
-    /// engine (capability flags in [`crate::registry::ProtocolCaps`]).
-    UnsupportedEngine {
-        /// The protocol's wire name.
-        protocol: &'static str,
-        /// The rejected engine's name.
-        engine: &'static str,
-    },
 }
 
 impl fmt::Display for RunError {
@@ -245,12 +202,6 @@ impl fmt::Display for RunError {
             RunError::ChannelDisconnected { stage } => {
                 write!(f, "engine channel disconnected at {stage}")
             }
-            RunError::UnsupportedEngine { protocol, engine } => {
-                write!(
-                    f,
-                    "protocol '{protocol}' does not support engine '{engine}'"
-                )
-            }
         }
     }
 }
@@ -258,12 +209,13 @@ impl fmt::Display for RunError {
 impl std::error::Error for RunError {}
 
 /// An agent protocol, written once over [`MobileCtxAsync`] and runnable
-/// on every engine. The runner clones one instance per agent, so any
-/// per-run configuration lives in the implementing type's fields.
+/// on both engines. The runner makes one value per agent with
+/// [`Protocol::for_agent`], so any per-run configuration lives in the
+/// implementing type's fields.
 ///
 /// Implement [`Protocol::run_async`] only: the blocking-style body with
-/// `.await` on each primitive. The thread engines (gated, free) execute
-/// it through the provided [`Protocol::run`] adapter, whose [`SyncCtx`]
+/// `.await` on each primitive. The gated thread engine executes it
+/// through the provided [`Protocol::run`] adapter, whose [`SyncCtx`]
 /// resolves every primitive inside the poll, so the body runs exactly
 /// as the pre-async blocking code did. The sim engine polls the same
 /// body as a state machine over virtual time. `run_async` is required
@@ -275,12 +227,23 @@ pub trait Protocol {
     #[allow(async_fn_in_trait)]
     async fn run_async<C: MobileCtxAsync>(&self, ctx: &mut C) -> Result<AgentOutcome, Interrupt>;
 
-    /// Blocking adapter for the thread engines: drive [`run_async`]
-    /// against a [`SyncCtx`], which never suspends.
+    /// Blocking adapter for the gated thread engine: drive
+    /// [`run_async`] against a [`SyncCtx`], which never suspends.
     ///
     /// [`run_async`]: Protocol::run_async
     fn run<C: MobileCtx>(&self, ctx: &mut C) -> Result<AgentOutcome, Interrupt> {
         poll_now(self.run_async(&mut SyncCtx(ctx)))
+    }
+
+    /// The value agent `agent` (the `agent`-th home-base) runs. Defaults
+    /// to a clone: qualitative protocols must not tell agents apart, so
+    /// only a protocol of the quantitative model, whose agents carry
+    /// externally assigned labels, overrides it.
+    fn for_agent(&self, _agent: usize) -> Self
+    where
+        Self: Clone,
+    {
+        self.clone()
     }
 }
 
@@ -310,10 +273,8 @@ impl ElectionRun {
 
 /// Run `protocol` on `bc` as described by `cfg`.
 ///
-/// One protocol instance is cloned per agent (agent `i` starts at the
-/// `i`-th home-base, as always). Engine-specific knobs the selected
-/// engine does not have (e.g. `timeout` under gated, `policy` or
-/// `replay` under freerun) are ignored.
+/// Agent `i` starts at the `i`-th home-base and runs
+/// `protocol.for_agent(i)`.
 pub fn run<P>(bc: &Bicolored, cfg: &RunConfig, protocol: &P) -> Result<ElectionRun, RunError>
 where
     P: Protocol + Clone + Send + 'static,
@@ -321,8 +282,8 @@ where
     let report = match cfg.engine {
         Engine::Gated => {
             let agents: Vec<GatedAgent> = (0..bc.r())
-                .map(|_| -> GatedAgent {
-                    let p = protocol.clone();
+                .map(|i| -> GatedAgent {
+                    let p = protocol.for_agent(i);
                     Box::new(move |ctx| p.run(ctx))
                 })
                 .collect();
@@ -352,15 +313,6 @@ where
                     )?
                 }
             }
-        }
-        Engine::Free => {
-            let agents: Vec<FreeAgent> = (0..bc.r())
-                .map(|_| -> FreeAgent {
-                    let p = protocol.clone();
-                    Box::new(move |ctx| p.run(ctx))
-                })
-                .collect();
-            try_run_free(bc, cfg.to_free(), &cfg.faults, agents)?
         }
         Engine::Sim => match &cfg.replay {
             Some(spec) => {
@@ -436,19 +388,17 @@ mod tests {
     fn builder_defaults_mirror_engine_defaults() {
         let cfg = RunConfig::new(9);
         assert_eq!(cfg.seed, 9);
-        assert_eq!(cfg.engine, Engine::Gated);
+        assert_eq!(cfg.engine, Engine::Sim);
         let g = cfg.to_gated();
         assert_eq!(g.max_steps, gated::RunConfig::default().max_steps);
+        assert_eq!(g.seed, 9);
         assert!(!g.record_trace);
-        let f = cfg.to_free();
-        assert_eq!(f.max_ops, FreeRunConfig::default().max_ops);
-        assert_eq!(f.seed, 9);
     }
 
     #[test]
     fn runs_on_all_engines() {
         let bc = instance(5, &[1]);
-        for engine in [Engine::Gated, Engine::Free, Engine::Sim] {
+        for engine in [Engine::Gated, Engine::Sim] {
             let cfg = RunConfig::new(3).engine(engine);
             let run = run(&bc, &cfg, &ClaimHome).unwrap();
             assert_eq!(run.engine, engine.name());
@@ -460,7 +410,7 @@ mod tests {
     #[test]
     fn record_and_replay_through_the_front_door() {
         let bc = instance(6, &[0, 3]);
-        let cfg = RunConfig::new(11).record_trace(true);
+        let cfg = RunConfig::new(11).engine(Engine::Gated).record_trace(true);
         let first = run(&bc, &cfg, &ClaimHome).unwrap();
         assert!(!first.report.trace.is_empty());
         // A gated recording replays byte-identically on gated *and* sim
@@ -494,20 +444,14 @@ mod tests {
     #[test]
     fn agent_panic_is_a_typed_error_not_a_hang() {
         let bc = instance(4, &[0, 2]);
-        let cfg = RunConfig::new(0);
-        match run(&bc, &cfg, &Panics) {
-            Err(RunError::AgentPanicked { message, .. }) => {
-                assert!(message.contains("deliberate test panic"), "{message}");
+        for engine in [Engine::Gated, Engine::Sim] {
+            let cfg = RunConfig::new(0).engine(engine);
+            match run(&bc, &cfg, &Panics) {
+                Err(RunError::AgentPanicked { message, .. }) => {
+                    assert!(message.contains("deliberate test panic"), "{message}");
+                }
+                other => panic!("expected AgentPanicked, got {other:?}"),
             }
-            other => panic!("expected AgentPanicked, got {other:?}"),
-        }
-        // Freerun and sim surface it too.
-        for engine in [Engine::Free, Engine::Sim] {
-            let cfg = cfg.clone().engine(engine);
-            assert!(matches!(
-                run(&bc, &cfg, &Panics),
-                Err(RunError::AgentPanicked { .. })
-            ));
         }
     }
 }

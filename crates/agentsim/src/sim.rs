@@ -512,9 +512,9 @@ pub fn run_sim_faulty<P: Protocol + Clone>(
 /// the run lost integrity (an agent panicked, or an agent suspended on
 /// something that is not a sim gate).
 ///
-/// The engine clones one `protocol` per home-base (agent `i` starts at
-/// the `i`-th home-base with a fresh color), exactly like
-/// [`crate::run::run`] does for the thread engines.
+/// Agent `i` starts at the `i`-th home-base with a fresh color and runs
+/// `protocol.for_agent(i)`, exactly like [`crate::run::run`] does for
+/// the gated engine.
 pub fn try_run_sim_with<P: Protocol + Clone>(
     bc: &Bicolored,
     cfg: RunConfig,
@@ -566,7 +566,7 @@ pub fn try_run_sim_with<P: Protocol + Clone>(
             faults: FaultClock::new(faults, i),
             recovery: faults.recovery,
         };
-        let p = protocol.clone();
+        let p = protocol.for_agent(i);
         tasks.push(Some(Box::pin(async move {
             let outcome = loop {
                 let attempt = CatchPanic::new(p.run_async(&mut ctx)).await;
@@ -1016,7 +1016,9 @@ mod tests {
         // protocol on both engines ⇒ identical traces, events, metrics.
         let bc = instance(6, &[0, 3]);
         for seed in [0u64, 5, 21] {
-            let cfg = UnifiedConfig::new(seed).record_trace(true);
+            let cfg = UnifiedConfig::new(seed)
+                .engine(Engine::Gated)
+                .record_trace(true);
             let gated = run(&bc, &cfg, &Walker { hops: 12 }).unwrap();
             let sim = run(&bc, &cfg.clone().engine(Engine::Sim), &Walker { hops: 12 }).unwrap();
             assert_eq!(sim.report.outcomes, gated.report.outcomes);

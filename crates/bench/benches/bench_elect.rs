@@ -71,7 +71,9 @@ fn bench_quantitative_baseline(c: &mut Criterion) {
         let bc = Bicolored::new(families::cycle(n).unwrap(), &[0, 1, 3]).unwrap();
         group.bench_with_input(BenchmarkId::from_parameter(n), &bc, |b, bc| {
             b.iter(|| {
-                let report = run_quantitative(bc, RunConfig::default(), &[5, 9, 2]);
+                let cfg = qelect_agentsim::RunConfig::default().engine(Engine::Gated);
+                let protocol = QuantitativeProtocol::new(&[5, 9, 2]).unwrap();
+                let report = qelect_agentsim::run(bc, &cfg, &protocol).unwrap().report;
                 assert!(report.clean_election());
                 report.metrics.total_work()
             })

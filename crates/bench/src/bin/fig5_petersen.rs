@@ -10,9 +10,10 @@
 //!   search over its 120 automorphisms finds no regular subgroup), which
 //!   is why Theorem 4.1 does not apply.
 
-use qelect::petersen::run_petersen;
+use qelect::petersen::PetersenProtocol;
 use qelect::prelude::*;
-// Policy rotation drives gated-only helpers; use the gated config.
+// ELECT runs through gated-only helpers, so this is the gated config;
+// the bespoke protocol goes through `qelect_agentsim::run` (sim engine).
 use qelect_agentsim::gated::RunConfig;
 use qelect_agentsim::sched::Policy;
 use qelect_bench::{header, row};
@@ -80,11 +81,10 @@ fn main() {
         Policy::Lockstep,
         Policy::GreedyLowest,
     ] {
-        let cfg = RunConfig {
-            policy,
-            ..RunConfig::default()
-        };
-        let bespoke = run_petersen(&bc, cfg);
+        let cfg = qelect_agentsim::RunConfig::default().policy(policy);
+        let bespoke = qelect_agentsim::run(&bc, &cfg, &PetersenProtocol)
+            .expect("petersen run failed")
+            .report;
         println!(
             "{}",
             row(&[

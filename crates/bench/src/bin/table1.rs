@@ -12,9 +12,12 @@
 //!   `?` together with the Petersen divergence evidence.
 
 use qelect::anonymous::run_ring_probe;
+use qelect::petersen::PetersenProtocol;
 use qelect::prelude::*;
 use qelect::solvability::{elect_succeeds, election_possible_cayley, impossible_by_thm21};
-// Every cell is driven through gated-only helpers; use the gated config.
+// The ELECT-family cells run through gated-only helpers, so this is the
+// gated config; the quantitative and bespoke Petersen rows go through
+// `qelect_agentsim::run` (sim engine).
 use qelect_agentsim::gated::RunConfig;
 use qelect_agentsim::sched::Policy;
 use qelect_agentsim::AgentOutcome;
@@ -105,7 +108,10 @@ fn main() {
     let suite = standard_suite();
     for inst in &suite {
         let ids: Vec<u64> = (0..inst.bc.r() as u64).map(|i| 10 + i).collect();
-        let report = run_quantitative(&inst.bc, RunConfig::default(), &ids);
+        let protocol = QuantitativeProtocol::new(&ids).expect("distinct labels");
+        let report = qelect_agentsim::run(&inst.bc, &Default::default(), &protocol)
+            .expect("quantitative run failed")
+            .report;
         if report.clean_election() {
             quant_ok += 1;
         }
@@ -119,7 +125,9 @@ fn main() {
     // ---- Petersen divergence for the open cell ----
     let pet = Bicolored::new(families::petersen().unwrap(), &[0, 1]).unwrap();
     let pet_elect = run_elect(&pet, RunConfig::default());
-    let pet_bespoke = qelect::petersen::run_petersen(&pet, RunConfig::default());
+    let pet_bespoke = qelect_agentsim::run(&pet, &Default::default(), &PetersenProtocol)
+        .expect("petersen run failed")
+        .report;
     println!(
         "qualitative agents, Petersen pair: ELECT {}, bespoke protocol {} (ELECT not effectual \
          on arbitrary graphs; existence of an effectual protocol was the paper's Open Problem 1)",

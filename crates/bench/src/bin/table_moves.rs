@@ -109,7 +109,10 @@ fn main() {
             continue; // compare on solvable instances only
         }
         let ids: Vec<u64> = (0..bc.r() as u64).map(|i| 10 + i).collect();
-        let q = run_quantitative(bc, RunConfig::default(), &ids);
+        let protocol = QuantitativeProtocol::new(&ids).expect("distinct labels");
+        let q = qelect_agentsim::run(bc, &Default::default(), &protocol)
+            .expect("quantitative run failed")
+            .report;
         let ew = e.metrics.total_work() as f64;
         let qw = q.metrics.total_work() as f64;
         println!(

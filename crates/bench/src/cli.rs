@@ -14,8 +14,8 @@
 //! options:   --agents 0,1,3   home-bases (default: 0)
 //!            --seed N         run seed (default 0)
 //!            --policy P       random | round-robin | lockstep | greedy
-//!            --engine E       gated | sim (default gated; must be in the
-//!                             protocol's registry capability flags)
+//!            --engine E       sim | gated (default sim; gated is the
+//!                             deterministic oracle, byte-identical)
 //!            --dot            print the instance as Graphviz DOT
 //! ```
 //!
@@ -31,9 +31,7 @@
 //!            --target NAME         protocol under exploration (default
 //!                                  elect; any registry entry whose
 //!                                  capability flags say explorable)
-//!            --engine E            gated | sim (default gated; must be
-//!                                  supported by the target's registry
-//!                                  capability flags)
+//!            --engine E            sim | gated (default sim)
 //!            --max-schedules N     DFS schedule budget (default 1000)
 //!            --preemption-bound N  Chess-style bound (default 2)
 //!            --swarm N             coverage-guided swarm runs on top of
@@ -60,7 +58,7 @@
 //!            --repeats N           protocol runs per instance (default 2)
 //!            --bucket LO:HI:P      add a size/density bucket (repeatable;
 //!                                  default: the three E5 buckets)
-//!            --engine E            gated | sim (default gated)
+//!            --engine E            sim | gated (default sim)
 //!            --no-cache            disable the canonical-form memo cache
 //!            --json PATH           also write the schema-versioned JSON report
 //! ```
@@ -79,8 +77,8 @@
 //!                                  registry entry with an audit schema —
 //!                                  others are rejected with a typed error)
 //!            --seeds 0,1,2         run seeds (default 0,1,2)
-//!            --engine E            gated | sim | free | both | all
-//!                                  (default both: gated+free)
+//!            --engine E            gated | sim (default: both, gated as
+//!                                  the oracle and sim as production)
 //!            --json PATH           write the schema-versioned JSON report
 //!            --baseline PATH       baseline file (default BENCH_audit.json)
 //!            --tolerance F         fractional regression tolerance (default 0.25)
@@ -98,8 +96,8 @@
 //!            --plans N             generated plans per seed (default 3)
 //!            --crashes N           crash events per plan (default 2)
 //!            --delays N            delay events per plan (default 1)
-//!            --engine E            gated | sim | free | both | all
-//!                                  (default both: gated+free)
+//!            --engine E            gated | sim (default: both, gated as
+//!                                  the oracle and sim as production)
 //!            --json PATH           write the schema-versioned JSON report
 //! ```
 //!
@@ -179,8 +177,7 @@
 //! options:   --protocols a,b,c     registry names to run (default:
 //!                                  elect,cayley,quantitative,dp-anon,agent-elect)
 //!            --seed N              run seed (default 0)
-//!            --engine E            preferred engine, gated | sim (default
-//!                                  gated; per-cell fallback to a supported one)
+//!            --engine E            sim | gated (default sim)
 //!            --json PATH           report path (default BENCH_zoo.json)
 //! ```
 
@@ -201,8 +198,7 @@ pub struct Invocation {
     pub seed: u64,
     /// Scheduler policy.
     pub policy: Policy,
-    /// The engine to drive (gated or sim; the protocol's registry
-    /// capability flags say which engines it supports).
+    /// The engine to drive (sim, or gated as the oracle).
     pub engine: qelect_agentsim::Engine,
     /// Print DOT instead of metrics detail.
     pub dot: bool,
@@ -422,7 +418,7 @@ pub fn parse_args(args: &[String]) -> Result<Invocation, ParseError> {
     if args.len() < 2 {
         return err(
             "usage: qelectctl <protocol> <family> [--agents 0,1,3] [--seed N] \
-             [--policy P] [--engine gated|sim] [--dot]",
+             [--policy P] [--engine sim|gated] [--dot]",
         );
     }
     let protocol = parse_protocol(&args[0])?;
@@ -431,7 +427,7 @@ pub fn parse_args(args: &[String]) -> Result<Invocation, ParseError> {
     let mut agents = vec![0usize];
     let mut seed = 0u64;
     let mut policy = Policy::Random;
-    let mut engine = qelect_agentsim::Engine::Gated;
+    let mut engine = qelect_agentsim::Engine::Sim;
     let mut dot = false;
     let mut i = 2;
     while i < args.len() {
@@ -497,7 +493,7 @@ pub fn parse_explore(args: &[String]) -> Result<ExploreInvocation, ParseError> {
     if args.is_empty() {
         return err(
             "usage: qelectctl explore <family> [--agents 0,1,3] [--seed N] \
-             [--target elect|anon|dp|agent] [--engine gated|sim] \
+             [--target elect|anon|dp|agent] [--engine sim|gated] \
              [--max-schedules N] [--preemption-bound N] [--swarm N] \
              [--workers N] [--emit-trace PATH] [--emit-shrunk PATH] \
              [--json PATH]",
@@ -510,7 +506,7 @@ pub fn parse_explore(args: &[String]) -> Result<ExploreInvocation, ParseError> {
         agents: vec![0usize],
         seed: 0,
         target: qelect::registry::default_entry().id,
-        engine: qelect_agentsim::Engine::Gated,
+        engine: qelect_agentsim::Engine::Sim,
         max_schedules: 1000,
         preemption_bound: 2,
         swarm_runs: 64,
@@ -599,16 +595,6 @@ pub fn parse_explore(args: &[String]) -> Result<ExploreInvocation, ParseError> {
             other => return err(format!("unknown explore option '{other}'")),
         }
         i += 1;
-    }
-    // The engine must be in the target's capability flags — checked here
-    // so the rejection is order-independent in `--target`/`--engine`.
-    let entry = qelect::registry::get(inv.target);
-    if !entry.supports(inv.engine) {
-        return err(format!(
-            "protocol '{}' does not support engine '{}'",
-            entry.id.name(),
-            inv.engine.name()
-        ));
     }
     if inv.workers == 0 {
         inv.workers = std::thread::available_parallelism().map_or(1, |p| p.get());
@@ -721,9 +707,7 @@ pub fn parse_audit_instance(spec: &str) -> Result<crate::report::AuditInstance, 
     ))
 }
 
-/// Parse a single deterministic engine name (`gated` or `sim`) for the
-/// subcommands whose purity/replay guarantees need determinism (`sweep`,
-/// and the plain run driver's unified path).
+/// Parse an engine name (`gated` or `sim`).
 fn parse_single_engine(v: &str) -> Result<qelect_agentsim::Engine, ParseError> {
     Ok(match v {
         "gated" => qelect_agentsim::Engine::Gated,
@@ -736,28 +720,13 @@ fn parse_single_engine(v: &str) -> Result<qelect_agentsim::Engine, ParseError> {
     })
 }
 
-/// Parse an `--engine` selector shared by `audit` and `faults`:
-/// a single engine name (`gated`, `sim`, `free`), `both` (the legacy
-/// gated+free pair), or `all` (every engine).
-fn parse_engine_list(v: &str) -> Result<Vec<crate::report::AuditEngine>, ParseError> {
-    use crate::report::AuditEngine;
-    Ok(match v {
-        "gated" => vec![AuditEngine::Gated],
-        "sim" => vec![AuditEngine::Sim],
-        "free" => vec![AuditEngine::Free],
-        "both" => vec![AuditEngine::Gated, AuditEngine::Free],
-        "all" => vec![AuditEngine::Gated, AuditEngine::Sim, AuditEngine::Free],
-        other => return Err(ParseError(format!("unknown engine '{other}'"))),
-    })
-}
-
 /// Parse an `audit` argv (without the binary name and the `audit` token
 /// itself).
 pub fn parse_audit(args: &[String]) -> Result<AuditInvocation, ParseError> {
     if args.is_empty() {
         return err(
             "usage: qelectctl audit <spec[@a0,a1,…]>… [--protocol NAME] \
-             [--seeds 0,1,2] [--engine gated|sim|free|both|all] [--json PATH] \
+             [--seeds 0,1,2] [--engine gated|sim] [--json PATH] \
              [--baseline PATH] [--tolerance F] [--write-baseline]",
         );
     }
@@ -798,7 +767,7 @@ pub fn parse_audit(args: &[String]) -> Result<AuditInvocation, ParseError> {
                 let v = args
                     .get(i)
                     .ok_or(ParseError("--engine needs a value".into()))?;
-                config.engines = parse_engine_list(v)?;
+                config.engines = vec![parse_single_engine(v)?];
             }
             "--json" => inv_json = Some(parse_path_flag(args, &mut i, "--json")?),
             "--baseline" => baseline = parse_path_flag(args, &mut i, "--baseline")?,
@@ -840,7 +809,7 @@ pub fn parse_faults(args: &[String]) -> Result<FaultsInvocation, ParseError> {
     if args.is_empty() {
         return err("usage: qelectctl faults <spec[@a0,a1,…]>… [--seeds 0,1] \
              [--plans N] [--crashes N] [--delays N] \
-             [--engine gated|sim|free|both|all] [--json PATH]");
+             [--engine gated|sim] [--json PATH]");
     }
     let mut config = crate::faults::FaultsConfig::default();
     let mut inv_json = None;
@@ -885,7 +854,7 @@ pub fn parse_faults(args: &[String]) -> Result<FaultsInvocation, ParseError> {
                 let v = args
                     .get(i)
                     .ok_or(ParseError("--engine needs a value".into()))?;
-                config.engines = parse_engine_list(v)?;
+                config.engines = vec![parse_single_engine(v)?];
             }
             "--json" => {
                 i += 1;
@@ -1207,7 +1176,7 @@ pub fn parse_load(args: &[String]) -> Result<LoadInvocation, ParseError> {
                 let v = args
                     .get(i)
                     .ok_or(ParseError("--engine needs a value".into()))?;
-                if !matches!(v.as_str(), "gated" | "sim" | "free") {
+                if !matches!(v.as_str(), "gated" | "sim") {
                     return err(format!("unknown engine '{v}'"));
                 }
                 config.engine = v.clone();
@@ -1496,7 +1465,7 @@ mod tests {
         assert_eq!(inv.graph.n(), 9);
         assert_eq!(inv.agents, vec![0]);
         assert_eq!(inv.target.name(), "elect");
-        assert_eq!(inv.engine, qelect_agentsim::Engine::Gated);
+        assert_eq!(inv.engine, qelect_agentsim::Engine::Sim);
         assert_eq!(inv.max_schedules, 1000);
         assert_eq!(inv.preemption_bound, 2);
         assert_eq!(inv.swarm_runs, 64);
@@ -1509,7 +1478,7 @@ mod tests {
     fn parses_explore_full_options() {
         let cmd = parse_command(&argv(
             "explore cycle:6 --agents 0,3 --seed 7 --target anon \
-             --engine sim --max-schedules 50 --preemption-bound 1 --swarm 5 \
+             --engine gated --max-schedules 50 --preemption-bound 1 --swarm 5 \
              --workers 2 --emit-trace /tmp/t.json --json /tmp/e.json",
         ))
         .unwrap();
@@ -1519,7 +1488,7 @@ mod tests {
         assert_eq!(inv.agents, vec![0, 3]);
         assert_eq!(inv.seed, 7);
         assert_eq!(inv.target.name(), "anonymous");
-        assert_eq!(inv.engine, qelect_agentsim::Engine::Sim);
+        assert_eq!(inv.engine, qelect_agentsim::Engine::Gated);
         assert_eq!(inv.max_schedules, 50);
         assert_eq!(inv.preemption_bound, 1);
         assert_eq!(inv.swarm_runs, 5);
@@ -1616,7 +1585,7 @@ mod tests {
         assert_eq!(inv.config.instances[0].spec, "circulant:12:1,3");
         assert_eq!(inv.config.instances[0].agents, vec![0, 1, 3]);
         assert_eq!(inv.config.seeds, vec![4, 5]);
-        assert_eq!(inv.config.engines, vec![crate::report::AuditEngine::Gated]);
+        assert_eq!(inv.config.engines, vec![qelect_agentsim::Engine::Gated]);
         assert_eq!(inv.json.as_deref(), Some("out.json"));
         assert_eq!(inv.baseline, "B.json");
         assert!((inv.tolerance - 0.5).abs() < 1e-12);
@@ -1646,6 +1615,9 @@ mod tests {
         assert!(parse_command(&argv("audit nosuch:5")).is_err());
         assert!(parse_command(&argv("audit cycle:6@x")).is_err());
         assert!(parse_command(&argv("audit cycle:6 --engine warp")).is_err());
+        for gone in ["free", "both", "all"] {
+            assert!(parse_command(&argv(&format!("audit cycle:6 --engine {gone}"))).is_err());
+        }
         assert!(parse_command(&argv("audit cycle:6 --tolerance -1")).is_err());
         assert!(parse_command(&argv("audit cycle:6 --tolerance x")).is_err());
         assert!(parse_command(&argv("audit cycle:6 --frobnicate")).is_err());
@@ -1683,7 +1655,7 @@ mod tests {
         assert_eq!(inv.config.plans, 2);
         assert_eq!(inv.config.crashes, 3);
         assert_eq!(inv.config.delays, 0);
-        assert_eq!(inv.config.engines, vec![crate::report::AuditEngine::Gated]);
+        assert_eq!(inv.config.engines, vec![qelect_agentsim::Engine::Gated]);
         assert_eq!(inv.json.as_deref(), Some("f.json"));
     }
 
@@ -1693,6 +1665,7 @@ mod tests {
         assert!(parse_command(&argv("faults nosuch:5")).is_err());
         assert!(parse_command(&argv("faults cycle:6@x")).is_err());
         assert!(parse_command(&argv("faults cycle:6 --engine warp")).is_err());
+        assert!(parse_command(&argv("faults cycle:6 --engine both")).is_err());
         assert!(parse_command(&argv("faults cycle:6 --plans 0")).is_err());
         assert!(parse_command(&argv("faults cycle:6 --crashes x")).is_err());
         assert!(parse_command(&argv("faults cycle:6 --frobnicate")).is_err());
@@ -1799,6 +1772,7 @@ mod tests {
         assert!(parse_command(&argv("load --mix cycle:6@0,0")).is_err());
         assert!(parse_command(&argv("load --policy warp")).is_err());
         assert!(parse_command(&argv("load --engine warp")).is_err());
+        assert!(parse_command(&argv("load --engine free")).is_err());
         assert!(parse_command(&argv("load --batch 100000")).is_err());
         assert!(parse_command(&argv("load --shards 0")).is_err());
         assert!(
@@ -1818,14 +1792,14 @@ mod tests {
     #[test]
     fn parses_load_batch_shards_store_chaos() {
         let cmd = parse_command(&argv(
-            "load --batch 16 --engine sim --shards 4 --store /tmp/q.bin --chaos 2",
+            "load --batch 16 --engine gated --shards 4 --store /tmp/q.bin --chaos 2",
         ))
         .unwrap();
         let Command::Load(inv) = cmd else {
             panic!("expected load")
         };
         assert_eq!(inv.config.batch, 16);
-        assert_eq!(inv.config.engine, "sim");
+        assert_eq!(inv.config.engine, "gated");
         assert_eq!(inv.config.serve.shards, 4);
         assert_eq!(inv.config.serve.store.as_deref(), Some("/tmp/q.bin"));
         assert_eq!(inv.config.chaos, 2);
@@ -1834,7 +1808,7 @@ mod tests {
             panic!("expected load")
         };
         assert_eq!(inv.config.batch, 0, "single-request mode by default");
-        assert_eq!(inv.config.engine, "gated");
+        assert_eq!(inv.config.engine, "sim");
         assert_eq!(inv.config.chaos, 0);
     }
 
@@ -2014,7 +1988,7 @@ mod tests {
     fn parses_zoo_full_options() {
         let cmd = parse_command(&argv(
             "zoo cycle:6@0,3 path:5@1,3 --protocols elect,dp --seed 9 \
-             --engine sim --json /tmp/z.json",
+             --engine gated --json /tmp/z.json",
         ))
         .unwrap();
         let Command::Zoo(inv) = cmd else {
@@ -2022,7 +1996,7 @@ mod tests {
         };
         assert_eq!(inv.json, "/tmp/z.json");
         assert_eq!(inv.config.seed, 9);
-        assert_eq!(inv.config.engine, qelect_agentsim::Engine::Sim);
+        assert_eq!(inv.config.engine, qelect_agentsim::Engine::Gated);
         assert_eq!(inv.config.instances.len(), 2);
         assert_eq!(inv.config.instances[0].key(), "cycle:6@0,3");
         let names: Vec<&str> = inv.config.protocols.iter().map(|p| p.name()).collect();

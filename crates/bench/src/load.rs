@@ -35,7 +35,7 @@
 //!   comparable); the latency histogram records per-*round-trip*
 //!   latencies in batch mode.
 //! * `--engine` selects the execution engine sent with every request
-//!   (`gated` by default; `sim` is byte-identical and much faster).
+//!   (`sim` by default; `gated` is the byte-identical, slower oracle).
 //!
 //! [`chaos_run`] is the unclean sibling of the drain check: it spawns
 //! the daemon as a *subprocess*, SIGKILLs it mid-load, restarts it on
@@ -79,7 +79,7 @@ pub struct LoadConfig {
     /// Elections per round-trip via `POST /v1/batch` (0 = one per
     /// `POST /v1/elect`).
     pub batch: usize,
-    /// Engine name sent with every request (`gated`, `sim`, `free`).
+    /// Engine name sent with every request (`sim` or `gated`).
     pub engine: String,
     /// Protocol wire name sent with every request. The default
     /// ([`qelect::registry::DEFAULT_PROTOCOL`]) is *omitted* from the
@@ -102,7 +102,7 @@ impl Default for LoadConfig {
             mix: Vec::new(),
             drain_burst: 16,
             batch: 0,
-            engine: "gated".to_string(),
+            engine: "sim".to_string(),
             protocol: qelect::registry::DEFAULT_PROTOCOL.to_string(),
             chaos: 0,
             serve: ServeConfig::default(),

@@ -28,10 +28,9 @@
 //!
 //! **Single-flight dedup** — identical `(instance, config)` requests
 //! in flight share one execution: the second arrival attaches to the
-//! first's result cell instead of consuming queue capacity. Under the
-//! gated engine a run is a pure function of `(instance, config)`, so a
-//! coalesced response is bit-identical to a private run; under the free
-//! engine coalesced requests share one (schedule-dependent) execution.
+//! first's result cell instead of consuming queue capacity. On both
+//! engines a run is a pure function of `(instance, config)`, so a
+//! coalesced response is bit-identical to a private run.
 //!
 //! **Graceful shutdown** — `POST /shutdown` (or
 //! [`ServerHandle::shutdown`] in process, which `qelectctl serve
@@ -567,18 +566,10 @@ impl ElectRequest {
             }
         };
         let engine = match get(obj, "engine").and_then(Value::as_str) {
-            None | Some("gated") => Engine::Gated,
-            Some("sim") => Engine::Sim,
-            Some("free") => Engine::Free,
+            None | Some("sim") => Engine::Sim,
+            Some("gated") => Engine::Gated,
             Some(other) => return Err(format!("unknown engine {other:?}")),
         };
-        if !protocol.supports(engine) {
-            return Err(format!(
-                "protocol {:?} does not support engine {:?}",
-                protocol.id.name(),
-                engine.name()
-            ));
-        }
         let policy = match get(obj, "policy").and_then(Value::as_str) {
             None => Policy::Random,
             Some(name) => parse_policy(name).ok_or_else(|| format!("unknown policy {name:?}"))?,
@@ -1459,12 +1450,13 @@ mod tests {
                       "engine": "gated", "policy": "lockstep"}"#;
         let req = ElectRequest::parse(ok, false).unwrap();
         assert_eq!(req.seed, 7);
+        assert_eq!(req.engine, Engine::Gated);
         assert_eq!(req.policy, Policy::Lockstep);
         assert_eq!(req.spec.key(), "cycle:9@0,1,3");
         // Defaults.
         let min = r#"{"schema": "qelect-request/1", "spec": "petersen@0,1"}"#;
         let req = ElectRequest::parse(min, false).unwrap();
-        assert_eq!(req.engine, Engine::Gated);
+        assert_eq!(req.engine, Engine::Sim);
         assert_eq!(req.seed, 0);
         assert!(req.faults.is_empty());
         // Rejections.
@@ -1506,7 +1498,7 @@ mod tests {
         for other in [
             r#"{"schema": "qelect-request/1", "spec": "cycle:9@0,1,3", "seed": 2}"#,
             r#"{"schema": "qelect-request/1", "spec": "cycle:9@0,1,2", "seed": 1}"#,
-            r#"{"schema": "qelect-request/1", "spec": "cycle:9@0,1,3", "seed": 1, "engine": "free"}"#,
+            r#"{"schema": "qelect-request/1", "spec": "cycle:9@0,1,3", "seed": 1, "engine": "gated"}"#,
             r#"{"schema": "qelect-request/1", "spec": "cycle:9@0,1,3", "seed": 1, "policy": "lockstep"}"#,
         ] {
             assert_ne!(base, mk(other), "{other}");
@@ -1528,10 +1520,11 @@ mod tests {
         )
         .unwrap();
         assert_eq!(req.protocol.id.name(), "elect");
-        // Rejections: unknown names, unservable protocols, unsupported
-        // engine combinations, non-string values.
+        // Rejections: unknown names, unservable protocols, unknown
+        // engines, non-string values.
         for bad in [
             r#"{"schema": "qelect-request/1", "spec": "cycle:9", "protocol": "warp"}"#,
+            r#"{"schema": "qelect-request/1", "spec": "cycle:9", "engine": "free"}"#,
             r#"{"schema": "qelect-request/1", "spec": "cycle:9", "protocol": "view"}"#,
             r#"{"schema": "qelect-request/1", "spec": "cycle:9", "protocol": "quantitative"}"#,
             r#"{"schema": "qelect-request/1", "spec": "cycle:9", "protocol": 7}"#,

@@ -108,7 +108,7 @@ impl Default for SweepConfig {
             seed0: 0,
             repeats: 2,
             buckets: default_buckets(),
-            engine: Engine::Gated,
+            engine: Engine::Sim,
         }
     }
 }

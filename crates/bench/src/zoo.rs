@@ -19,9 +19,8 @@
 //! `None` (e.g. `cayley` on a non-Cayley family, where the protocol's
 //! own criterion does not apply) is recorded but not gated.
 //!
-//! The preferred engine comes from the config; a protocol whose
-//! capability flags do not include it falls back to the first engine it
-//! supports, and the engine actually used is recorded per cell.
+//! Every cell runs on the config's engine (sim by default), which is
+//! recorded per cell.
 
 use qelect::registry as protocol_registry;
 use qelect_agentsim::json;
@@ -45,8 +44,7 @@ pub struct ZooConfig {
     pub protocols: Vec<ProtocolId>,
     /// Run seed (colors + port scrambles), shared by every cell.
     pub seed: u64,
-    /// Preferred engine; cells whose protocol does not support it fall
-    /// back to the first engine the protocol's entry lists.
+    /// The engine every cell runs on.
     pub engine: Engine,
 }
 
@@ -64,7 +62,7 @@ impl Default for ZooConfig {
             instances: Vec::new(),
             protocols,
             seed: 0,
-            engine: Engine::Gated,
+            engine: Engine::Sim,
         }
     }
 }
@@ -204,19 +202,9 @@ impl ZooReport {
     }
 }
 
-/// The engine a cell actually runs on: the preferred engine when the
-/// entry supports it, else the first engine the entry lists.
-fn cell_engine(entry: &ProtocolEntry, preferred: Engine) -> Engine {
-    if entry.supports(preferred) {
-        preferred
-    } else {
-        entry.caps.engines[0]
-    }
-}
-
 /// Run one (instance, protocol) cell.
 fn run_cell(bc: &Bicolored, key: &str, entry: &'static ProtocolEntry, cfg: &ZooConfig) -> ZooCell {
-    let engine = cell_engine(entry, cfg.engine);
+    let engine = cfg.engine;
     let expected = (entry.oracle)(bc);
     match entry.run(bc, &RunConfig::new(cfg.seed).engine(engine)) {
         Ok(run) => {
@@ -324,23 +312,26 @@ mod tests {
     }
 
     #[test]
-    fn zoo_falls_back_to_a_supported_engine() {
-        let cfg = ZooConfig {
-            instances: vec![instance("cycle", 6, &[0, 2, 3])],
-            engine: Engine::Sim,
-            ..ZooConfig::default()
-        };
-        let report = run_zoo(&cfg);
-        assert!(report.passed(), "{}", report.render());
-        for c in &report.cells {
-            // The gated-only quantitative driver falls back; async
-            // protocols honor the preferred sim engine.
-            if c.protocol == "quantitative" {
-                assert_eq!(c.engine, "gated");
-            } else {
-                assert_eq!(c.engine, "sim");
-            }
+    fn zoo_runs_every_cell_on_the_configured_engine() {
+        let mut verdicts = Vec::new();
+        for engine in [Engine::Sim, Engine::Gated] {
+            let cfg = ZooConfig {
+                instances: vec![instance("cycle", 6, &[0, 2, 3])],
+                engine,
+                ..ZooConfig::default()
+            };
+            let report = run_zoo(&cfg);
+            assert!(report.passed(), "{}", report.render());
+            assert!(report.cells.iter().all(|c| c.engine == engine.name()));
+            verdicts.push(
+                report
+                    .cells
+                    .iter()
+                    .map(|c| (c.protocol, c.elected, c.leader))
+                    .collect::<Vec<_>>(),
+            );
         }
+        assert_eq!(verdicts[0], verdicts[1], "sim and gated cells must agree");
     }
 
     #[test]

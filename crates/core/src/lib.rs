@@ -90,7 +90,7 @@ pub mod prelude {
     pub use crate::agent_elect::{agent_elect, AgentElectProtocol};
     pub use crate::dp_anon::{dp_anon, dp_solvable, DpAnonProtocol};
     pub use crate::elect::{elect, elect_async, run_election, ElectProtocol};
-    pub use crate::quantitative::{quantitative_elect, run_quantitative};
+    pub use crate::quantitative::QuantitativeProtocol;
     pub use crate::replay::{
         explore_elect, faulty_run_matches_oracle, replay_elect, run_elect_recorded,
         run_elect_with_plan,

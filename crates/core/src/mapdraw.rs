@@ -25,8 +25,8 @@ use qelect_agentsim::{
 /// Walk the whole graph by whiteboard DFS and return the completed map.
 /// The agent ends back at its home-base (map node 0).
 ///
-/// Blocking adapter over [`map_drawing_async`] for the thread-per-agent
-/// engines (gated, freerun): the future resolves on the first poll
+/// Blocking adapter over [`map_drawing_async`] for the gated
+/// thread-per-agent engine: the future resolves on the first poll
 /// because every [`SyncCtx`] primitive blocks inside it.
 pub fn map_drawing<C: MobileCtx>(ctx: &mut C) -> Result<AgentMap, Interrupt> {
     poll_now(map_drawing_async(&mut SyncCtx(ctx)))

@@ -24,12 +24,7 @@
 
 use crate::mapdraw::map_drawing_async;
 use crate::reduce::Courier;
-use qelect_agentsim::gated::{run_gated_faulty, GatedAgent, RunConfig, RunReport};
-use qelect_agentsim::FaultPlan;
-use qelect_agentsim::{
-    poll_now, AgentOutcome, Interrupt, MobileCtx, MobileCtxAsync, Sign, SignKind, SyncCtx,
-};
-use qelect_graph::Bicolored;
+use qelect_agentsim::{AgentOutcome, Interrupt, MobileCtxAsync, Protocol, Sign, SignKind};
 
 /// The mark of step 2.
 pub const NEIGHBOR_MARK: SignKind = SignKind::Custom(21);
@@ -40,10 +35,17 @@ pub const ACQUIRE_X: SignKind = SignKind::Custom(22);
 /// maximally unfair schedulers).
 pub const MARK_DONE: SignKind = SignKind::Custom(23);
 
-/// The two-agent Petersen protocol (blocking adapter over
-/// [`petersen_elect_async`] for the thread-per-agent engines).
-pub fn petersen_elect<C: MobileCtx>(ctx: &mut C) -> Result<AgentOutcome, Interrupt> {
-    poll_now(petersen_elect_async(&mut SyncCtx(ctx)))
+/// The two-agent Petersen protocol ([`petersen_elect_async`]). Outside
+/// its domain — not exactly two agents, or non-adjacent home-bases —
+/// the agents stop on a failed assertion, which the engines report as
+/// a typed [`RunError::AgentPanicked`](qelect_agentsim::RunError).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PetersenProtocol;
+
+impl Protocol for PetersenProtocol {
+    async fn run_async<C: MobileCtxAsync>(&self, ctx: &mut C) -> Result<AgentOutcome, Interrupt> {
+        petersen_elect_async(ctx).await
+    }
 }
 
 /// The two-agent Petersen protocol.
@@ -143,20 +145,25 @@ pub async fn petersen_elect_async<C: MobileCtxAsync>(
     })
 }
 
-/// Run the Petersen protocol with the gated engine.
-pub fn run_petersen(bc: &Bicolored, cfg: RunConfig) -> RunReport {
-    assert_eq!(bc.r(), 2);
-    let agents: Vec<GatedAgent> = (0..2)
-        .map(|_| -> GatedAgent { Box::new(petersen_elect) })
-        .collect();
-    run_gated_faulty(bc, cfg, &FaultPlan::none(), agents).expect("gated run failed")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use qelect_agentsim::sched::Policy;
-    use qelect_graph::families;
+    use qelect_agentsim::{run, Engine, RunConfig, RunReport};
+    use qelect_graph::{families, Bicolored};
+
+    /// Run on both engines: gated is the oracle, so the sim report must
+    /// match it exactly.
+    fn petersen_report(bc: &Bicolored, cfg: RunConfig) -> RunReport {
+        let on = |engine| {
+            run(bc, &cfg.clone().engine(engine), &PetersenProtocol)
+                .unwrap()
+                .report
+        };
+        let (gated, sim) = (on(Engine::Gated), on(Engine::Sim));
+        assert_eq!(gated.fingerprint(), sim.fingerprint(), "gated vs sim");
+        sim
+    }
 
     fn petersen_pair() -> Bicolored {
         Bicolored::new(families::petersen().unwrap(), &[0, 1]).unwrap()
@@ -165,11 +172,7 @@ mod tests {
     #[test]
     fn elects_one_leader() {
         for seed in 0..6 {
-            let cfg = RunConfig {
-                seed,
-                ..RunConfig::default()
-            };
-            let report = run_petersen(&petersen_pair(), cfg);
+            let report = petersen_report(&petersen_pair(), RunConfig::new(seed));
             assert!(
                 report.clean_election(),
                 "seed {seed}: {:?} ({:?})",
@@ -182,11 +185,7 @@ mod tests {
     #[test]
     fn elects_under_adversarial_schedulers() {
         for policy in [Policy::Lockstep, Policy::RoundRobin, Policy::GreedyLowest] {
-            let cfg = RunConfig {
-                policy,
-                ..RunConfig::default()
-            };
-            let report = run_petersen(&petersen_pair(), cfg);
+            let report = petersen_report(&petersen_pair(), RunConfig::new(0).policy(policy));
             assert!(report.clean_election(), "{policy:?}: {:?}", report.outcomes);
         }
     }
@@ -199,7 +198,7 @@ mod tests {
         for (u, v) in [(0usize, 5usize), (5, 7), (2, 3), (4, 9)] {
             assert!(g.neighbors(u).any(|w| w == v), "({u},{v}) must be an edge");
             let bc = Bicolored::new(g.clone(), &[u, v]).unwrap();
-            let report = run_petersen(&bc, RunConfig::default());
+            let report = petersen_report(&bc, RunConfig::default());
             assert!(report.clean_election(), "({u},{v}): {:?}", report.outcomes);
         }
     }

@@ -16,20 +16,59 @@
 
 use crate::mapdraw::map_drawing_async;
 use crate::reduce::Courier;
-use qelect_agentsim::gated::{run_gated_faulty, GatedAgent, RunConfig, RunReport};
-use qelect_agentsim::FaultPlan;
-use qelect_agentsim::{
-    poll_now, AgentOutcome, Interrupt, MobileCtx, MobileCtxAsync, SignKind, SyncCtx,
-};
-use qelect_graph::Bicolored;
+use qelect_agentsim::{AgentOutcome, Interrupt, MobileCtxAsync, Protocol, SignKind};
+use std::sync::Arc;
 
 /// The `Custom` sign kind carrying a quantitative ID (payload: `[id]`).
 pub const ID_SIGN: SignKind = SignKind::Custom(1);
 
-/// The universal quantitative protocol, run by an agent with label `id`
-/// (blocking adapter over [`quantitative_elect_async`]).
-pub fn quantitative_elect<C: MobileCtx>(ctx: &mut C, id: u64) -> Result<AgentOutcome, Interrupt> {
-    poll_now(quantitative_elect_async(&mut SyncCtx(ctx), id))
+/// The universal quantitative protocol with one externally assigned
+/// label per agent: agent `i` (the `i`-th home-base) runs with label
+/// `ids[i]`, selected by [`Protocol::for_agent`]. Labels are the
+/// quantitative model's comparable identities, so this is the one
+/// protocol whose agents are told apart by the runner.
+#[derive(Debug, Clone)]
+pub struct QuantitativeProtocol {
+    ids: Arc<[u64]>,
+    agent: usize,
+}
+
+impl QuantitativeProtocol {
+    /// A protocol assigning `ids[i]` to agent `i`. The labels must be
+    /// pairwise distinct (the model's first requirement); duplicates are
+    /// an error.
+    pub fn new(ids: &[u64]) -> Result<QuantitativeProtocol, String> {
+        let mut sorted = ids.to_vec();
+        sorted.sort_unstable();
+        sorted.dedup();
+        if sorted.len() != ids.len() {
+            return Err(format!("quantitative labels must be distinct, got {ids:?}"));
+        }
+        Ok(QuantitativeProtocol {
+            ids: ids.into(),
+            agent: 0,
+        })
+    }
+}
+
+impl Protocol for QuantitativeProtocol {
+    async fn run_async<C: MobileCtxAsync>(&self, ctx: &mut C) -> Result<AgentOutcome, Interrupt> {
+        let id = *self.ids.get(self.agent).unwrap_or_else(|| {
+            panic!(
+                "agent {} has no label ({} labels assigned)",
+                self.agent,
+                self.ids.len()
+            )
+        });
+        quantitative_elect_async(ctx, id).await
+    }
+
+    fn for_agent(&self, agent: usize) -> Self {
+        QuantitativeProtocol {
+            ids: Arc::clone(&self.ids),
+            agent,
+        }
+    }
 }
 
 /// The universal quantitative protocol, run by an agent with label `id`.
@@ -72,37 +111,26 @@ pub async fn quantitative_elect_async<C: MobileCtxAsync>(
     })
 }
 
-/// Run the quantitative protocol with the gated engine, assigning agent
-/// `i` the label `ids[i]` (labels must be pairwise distinct).
-pub fn run_quantitative(bc: &Bicolored, cfg: RunConfig, ids: &[u64]) -> RunReport {
-    assert_eq!(ids.len(), bc.r(), "one label per agent");
-    let mut sorted = ids.to_vec();
-    sorted.sort_unstable();
-    sorted.dedup();
-    assert_eq!(sorted.len(), ids.len(), "labels must be distinct");
-    let agents: Vec<GatedAgent> = ids
-        .iter()
-        .map(|&id| -> GatedAgent { Box::new(move |ctx| quantitative_elect(ctx, id)) })
-        .collect();
-    run_gated_faulty(bc, cfg, &FaultPlan::none(), agents).expect("gated run failed")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qelect_graph::families;
+    use qelect_agentsim::{run, Engine, RunConfig, RunReport};
+    use qelect_graph::{families, Bicolored};
 
     fn check(bc: &Bicolored, ids: &[u64], seed: u64) -> RunReport {
-        let cfg = RunConfig {
-            seed,
-            ..RunConfig::default()
-        };
-        let report = run_quantitative(bc, cfg, ids);
+        let protocol = QuantitativeProtocol::new(ids).unwrap();
+        let report = run(bc, &RunConfig::new(seed), &protocol).unwrap().report;
         assert!(
             report.clean_election(),
             "{:?} ({:?})",
             report.outcomes,
             report.interrupted
+        );
+        let gated = run(bc, &RunConfig::new(seed).engine(Engine::Gated), &protocol).unwrap();
+        assert_eq!(
+            gated.report.fingerprint(),
+            report.fingerprint(),
+            "gated vs sim"
         );
         report
     }
@@ -147,13 +175,10 @@ mod tests {
 
     #[test]
     fn rejects_duplicate_ids() {
-        let bc = Bicolored::new(families::cycle(4).unwrap(), &[0, 2]).unwrap();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_quantitative(&bc, RunConfig::default(), &[5, 5])
-        }));
+        let err = QuantitativeProtocol::new(&[5, 5]).unwrap_err();
         assert!(
-            result.is_err(),
-            "distinctness is required (the paper's first failure mode)"
+            err.contains("distinct"),
+            "distinctness is required (the paper's first failure mode): {err}"
         );
     }
 }

@@ -8,24 +8,32 @@
 //! [`qelect_agentsim::registry`]; this module supplies the entries,
 //! because the protocol implementations live in this crate.
 //!
-//! | wire name | paper | engines | oracle |
-//! |---|---|---|---|
-//! | `elect` | SPAA 2003 (source) | gated, free, sim | gcd of class sizes = 1 |
-//! | `cayley` | SPAA 2003 §4 | gated, free, sim | Theorem 4.1 (when decided) |
-//! | `quantitative` | SPAA 2003 §1.3 | gated | always elects |
-//! | `view` | SPAA 2003 §2 | gated | — |
-//! | `gather` | SPAA 2003 §5 | gated | — |
-//! | `petersen` | SPAA 2003 §4 | gated | — |
-//! | `anonymous` | SPAA 2003 §1.3 | gated, free, sim | — (the counterexample) |
-//! | `dp-anon` | arXiv:1205.6249 | gated, free, sim | some singleton home-base class |
-//! | `agent-elect` | arXiv:2403.13716 | gated, free, sim | always elects |
+//! Every entry is a [`Protocol`] and runs on both engines (sim by
+//! default, gated as the oracle); its runner is one monomorphisation of
+//! [`run_entry`], except where the protocol needs per-instance setup.
+//!
+//! | wire name | paper | oracle |
+//! |---|---|---|
+//! | `elect` | SPAA 2003 (source) | gcd of class sizes = 1 |
+//! | `cayley` | SPAA 2003 §4 | Theorem 4.1 (when decided) |
+//! | `quantitative` | SPAA 2003 §1.3 | always elects |
+//! | `view` | SPAA 2003 §2 | — |
+//! | `gather` | SPAA 2003 §5 | — |
+//! | `petersen` | SPAA 2003 §4 | — |
+//! | `anonymous` | SPAA 2003 §1.3 | — (the counterexample) |
+//! | `dp-anon` | arXiv:1205.6249 | some singleton home-base class |
+//! | `agent-elect` | arXiv:2403.13716 | always elects |
 
 use crate::agent_elect::AgentElectProtocol;
 use crate::anonymous::{ring_probe_counterexample, RingProbeProtocol};
 use crate::dp_anon::{dp_solvable, DpAnonProtocol};
-use crate::elect::{run_election, ElectProtocol};
+use crate::elect::ElectProtocol;
+use crate::gathering::GatherProtocol;
+use crate::petersen::PetersenProtocol;
+use crate::quantitative::QuantitativeProtocol;
 use crate::solvability::{elect_succeeds, election_possible_cayley};
 use crate::translation_elect::TranslationElectProtocol;
+use crate::view_elect::ViewElectProtocol;
 use qelect_agentsim::fault::FaultPlan;
 use qelect_agentsim::gated::{self, try_run_gated_with, RunReport};
 use qelect_agentsim::json::envelope;
@@ -43,27 +51,13 @@ use qelect_group::recognition::RecognitionBudget;
 /// default, the load generator's default mix).
 pub const DEFAULT_PROTOCOL: &str = "elect";
 
-const ALL_ENGINES: &[Engine] = &[Engine::Gated, Engine::Free, Engine::Sim];
-const GATED_ONLY: &[Engine] = &[Engine::Gated];
-
-fn run_elect_entry(bc: &Bicolored, cfg: &RunConfig) -> Result<ElectionRun, RunError> {
-    run_election(bc, cfg)
-}
-
-fn run_cayley_entry(bc: &Bicolored, cfg: &RunConfig) -> Result<ElectionRun, RunError> {
-    qelect_agentsim::run(bc, cfg, &TranslationElectProtocol)
-}
-
-fn run_anonymous_entry(bc: &Bicolored, cfg: &RunConfig) -> Result<ElectionRun, RunError> {
-    qelect_agentsim::run(bc, cfg, &RingProbeProtocol)
-}
-
-fn run_dp_anon_entry(bc: &Bicolored, cfg: &RunConfig) -> Result<ElectionRun, RunError> {
-    qelect_agentsim::run(bc, cfg, &DpAnonProtocol)
-}
-
-fn run_agent_elect_entry(bc: &Bicolored, cfg: &RunConfig) -> Result<ElectionRun, RunError> {
-    qelect_agentsim::run(bc, cfg, &AgentElectProtocol)
+/// The entry runner of a protocol that needs no per-instance setup: run
+/// `P::default()` through [`qelect_agentsim::run`].
+fn run_entry<P>(bc: &Bicolored, cfg: &RunConfig) -> Result<ElectionRun, RunError>
+where
+    P: Protocol + Default + Clone + Send + 'static,
+{
+    qelect_agentsim::run(bc, cfg, &P::default())
 }
 
 /// The label block the quantitative baseline assigns (agent `i` gets
@@ -72,98 +66,43 @@ pub fn quantitative_ids(r: usize) -> Vec<u64> {
     (0..r as u64).map(|i| 100 + i).collect()
 }
 
-fn gated_report_to_run(
-    cfg: &RunConfig,
-    report: qelect_agentsim::RunReport,
-) -> Result<ElectionRun, RunError> {
-    Ok(ElectionRun {
-        engine: cfg.engine.name(),
-        faults: report.metrics.faults,
-        report,
-    })
-}
-
 fn run_quantitative_entry(bc: &Bicolored, cfg: &RunConfig) -> Result<ElectionRun, RunError> {
-    let ids = quantitative_ids(bc.r());
-    gated_report_to_run(
-        cfg,
-        crate::quantitative::run_quantitative(bc, cfg.to_gated(), &ids),
-    )
+    let protocol =
+        QuantitativeProtocol::new(&quantitative_ids(bc.r())).expect("the label block is distinct");
+    qelect_agentsim::run(bc, cfg, &protocol)
 }
 
+/// View election runs in the quantitative model: every agent sees the
+/// same integer port labels, so port scrambling is off.
 fn run_view_entry(bc: &Bicolored, cfg: &RunConfig) -> Result<ElectionRun, RunError> {
-    gated_report_to_run(cfg, crate::view_elect::run_view_elect(bc, cfg.to_gated()))
+    qelect_agentsim::run(bc, &cfg.clone().scramble_ports(false), &ViewElectProtocol)
 }
 
-fn run_gather_entry(bc: &Bicolored, cfg: &RunConfig) -> Result<ElectionRun, RunError> {
-    gated_report_to_run(cfg, crate::gathering::run_gather(bc, cfg.to_gated()))
-}
-
-fn run_petersen_entry(bc: &Bicolored, cfg: &RunConfig) -> Result<ElectionRun, RunError> {
-    gated_report_to_run(cfg, crate::petersen::run_petersen(bc, cfg.to_gated()))
-}
-
-/// One exploration schedule for a [`Protocol`] implementation on either
-/// deterministic engine — the uniform `ExploreSpec::run` body. Both arms
-/// run the *same* protocol value, so the gated and sim engines produce
-/// byte-identical reports for the same grant sequence and coverage
-/// signatures are engine-portable.
-fn explore_run_for<P>(
-    protocol: &P,
+/// One exploration schedule of `P::default()` on either engine — the
+/// uniform `ExploreSpec::run` body. Both arms run the *same* protocol
+/// value, so the gated and sim engines produce byte-identical reports
+/// for the same grant sequence and coverage signatures are
+/// engine-portable.
+fn explore_run<P>(
     bc: &Bicolored,
     cfg: &gated::RunConfig,
     engine: Engine,
     scheduler: &mut dyn Scheduler,
 ) -> Result<RunReport, RunError>
 where
-    P: Protocol + Clone + Send + 'static,
+    P: Protocol + Default + Clone + Send + 'static,
 {
+    let protocol = P::default();
     match engine {
-        Engine::Sim => try_run_sim_with(bc, *cfg, &FaultPlan::none(), protocol, scheduler),
-        _ => try_run_gated_with(
+        Engine::Sim => try_run_sim_with(bc, *cfg, &FaultPlan::none(), &protocol, scheduler),
+        Engine::Gated => try_run_gated_with(
             bc,
             *cfg,
             &FaultPlan::none(),
-            protocol_agents(protocol.clone(), bc),
+            protocol_agents(protocol, bc),
             scheduler,
         ),
     }
-}
-
-fn elect_explore_run(
-    bc: &Bicolored,
-    cfg: &gated::RunConfig,
-    engine: Engine,
-    scheduler: &mut dyn Scheduler,
-) -> Result<RunReport, RunError> {
-    explore_run_for(&ElectProtocol::default(), bc, cfg, engine, scheduler)
-}
-
-fn anonymous_explore_run(
-    bc: &Bicolored,
-    cfg: &gated::RunConfig,
-    engine: Engine,
-    scheduler: &mut dyn Scheduler,
-) -> Result<RunReport, RunError> {
-    explore_run_for(&RingProbeProtocol, bc, cfg, engine, scheduler)
-}
-
-fn dp_anon_explore_run(
-    bc: &Bicolored,
-    cfg: &gated::RunConfig,
-    engine: Engine,
-    scheduler: &mut dyn Scheduler,
-) -> Result<RunReport, RunError> {
-    explore_run_for(&DpAnonProtocol, bc, cfg, engine, scheduler)
-}
-
-fn agent_elect_explore_run(
-    bc: &Bicolored,
-    cfg: &gated::RunConfig,
-    engine: Engine,
-    scheduler: &mut dyn Scheduler,
-) -> Result<RunReport, RunError> {
-    explore_run_for(&AgentElectProtocol, bc, cfg, engine, scheduler)
 }
 
 fn elect_explore_property(bc: &Bicolored, report: &RunReport) -> Result<(), String> {
@@ -204,7 +143,7 @@ fn anonymous_canonical_witness(bc: &Bicolored) -> Result<Trace, String> {
 }
 
 static ELECT_EXPLORE: ExploreSpec = ExploreSpec {
-    run: elect_explore_run,
+    run: explore_run::<ElectProtocol>,
     property: elect_explore_property,
     property_line:
         "Theorem 3.1 oracle: clean election iff gcd of class sizes is 1, on every schedule",
@@ -213,7 +152,7 @@ static ELECT_EXPLORE: ExploreSpec = ExploreSpec {
 };
 
 static ANON_EXPLORE: ExploreSpec = ExploreSpec {
-    run: anonymous_explore_run,
+    run: explore_run::<RingProbeProtocol>,
     property: at_most_one_leader,
     property_line:
         "at most one leader — violated by design (the \u{a7}1.3 impossibility demonstration)",
@@ -222,7 +161,7 @@ static ANON_EXPLORE: ExploreSpec = ExploreSpec {
 };
 
 static DP_ANON_EXPLORE: ExploreSpec = ExploreSpec {
-    run: dp_anon_explore_run,
+    run: explore_run::<DpAnonProtocol>,
     property: at_most_one_leader,
     property_line: "at most one leader, on every schedule",
     violation_expected: false,
@@ -230,7 +169,7 @@ static DP_ANON_EXPLORE: ExploreSpec = ExploreSpec {
 };
 
 static AGENT_ELECT_EXPLORE: ExploreSpec = ExploreSpec {
-    run: agent_elect_explore_run,
+    run: explore_run::<AgentElectProtocol>,
     property: at_most_one_leader,
     property_line: "at most one leader, on every schedule",
     violation_expected: false,
@@ -264,13 +203,12 @@ static ENTRIES: [ProtocolEntry; 9] = [
         summary: "Protocol ELECT: comparison-free election over whiteboards (Theorem 3.1)",
         paper: "SPAA 2003 (the source paper)",
         caps: ProtocolCaps {
-            engines: ALL_ENGINES,
             fault_recoverable: true,
             explorable: true,
             servable: true,
             audit_schema: Some(envelope::AUDIT),
         },
-        runner: run_elect_entry,
+        runner: run_entry::<ElectProtocol>,
         explore: Some(&ELECT_EXPLORE),
         oracle: elect_oracle,
     },
@@ -280,13 +218,12 @@ static ENTRIES: [ProtocolEntry; 9] = [
         summary: "translation election on Cayley graphs (Theorem 4.1 verdict first)",
         paper: "SPAA 2003 \u{a7}4",
         caps: ProtocolCaps {
-            engines: ALL_ENGINES,
             fault_recoverable: false,
             explorable: false,
             servable: true,
             audit_schema: None,
         },
-        runner: run_cayley_entry,
+        runner: run_entry::<TranslationElectProtocol>,
         explore: None,
         oracle: cayley_oracle,
     },
@@ -296,7 +233,6 @@ static ENTRIES: [ProtocolEntry; 9] = [
         summary: "universal election with externally assigned comparable labels (\u{a7}1.3)",
         paper: "SPAA 2003 \u{a7}1.3",
         caps: ProtocolCaps {
-            engines: GATED_ONLY,
             fault_recoverable: false,
             explorable: false,
             servable: false,
@@ -312,7 +248,6 @@ static ENTRIES: [ProtocolEntry; 9] = [
         summary: "view-based election (quotient-graph views, \u{a7}2 machinery)",
         paper: "SPAA 2003 \u{a7}2",
         caps: ProtocolCaps {
-            engines: GATED_ONLY,
             fault_recoverable: false,
             explorable: false,
             servable: false,
@@ -328,13 +263,12 @@ static ENTRIES: [ProtocolEntry; 9] = [
         summary: "gathering: all agents meet at one node (\u{a7}5 reduction)",
         paper: "SPAA 2003 \u{a7}5",
         caps: ProtocolCaps {
-            engines: GATED_ONLY,
             fault_recoverable: false,
             explorable: false,
             servable: false,
             audit_schema: None,
         },
-        runner: run_gather_entry,
+        runner: run_entry::<GatherProtocol>,
         explore: None,
         oracle: no_oracle,
     },
@@ -344,13 +278,12 @@ static ENTRIES: [ProtocolEntry; 9] = [
         summary: "the \u{a7}4 two-agent Petersen-graph special case (r = 2 only)",
         paper: "SPAA 2003 \u{a7}4",
         caps: ProtocolCaps {
-            engines: GATED_ONLY,
             fault_recoverable: false,
             explorable: false,
             servable: false,
             audit_schema: None,
         },
-        runner: run_petersen_entry,
+        runner: run_entry::<PetersenProtocol>,
         explore: None,
         oracle: no_oracle,
     },
@@ -360,13 +293,12 @@ static ENTRIES: [ProtocolEntry; 9] = [
         summary: "the \u{a7}1.3 anonymous ring probe (the executable impossibility argument)",
         paper: "SPAA 2003 \u{a7}1.3",
         caps: ProtocolCaps {
-            engines: ALL_ENGINES,
             fault_recoverable: false,
             explorable: true,
             servable: false,
             audit_schema: None,
         },
-        runner: run_anonymous_entry,
+        runner: run_entry::<RingProbeProtocol>,
         explore: Some(&ANON_EXPLORE),
         oracle: no_oracle,
     },
@@ -376,13 +308,12 @@ static ENTRIES: [ProtocolEntry; 9] = [
         summary: "Dereniowski\u{2013}Pelc anonymous-agent election (singleton-class criterion)",
         paper: "arXiv:1205.6249",
         caps: ProtocolCaps {
-            engines: ALL_ENGINES,
             fault_recoverable: true,
             explorable: true,
             servable: true,
             audit_schema: Some(envelope::AUDIT),
         },
-        runner: run_dp_anon_entry,
+        runner: run_entry::<DpAnonProtocol>,
         explore: Some(&DP_ANON_EXPLORE),
         oracle: dp_anon_oracle,
     },
@@ -392,13 +323,12 @@ static ENTRIES: [ProtocolEntry; 9] = [
         summary: "agent-based election with comparable identifiers (always solvable)",
         paper: "arXiv:2403.13716",
         caps: ProtocolCaps {
-            engines: ALL_ENGINES,
             fault_recoverable: true,
             explorable: true,
             servable: true,
             audit_schema: Some(envelope::AUDIT),
         },
-        runner: run_agent_elect_entry,
+        runner: run_entry::<AgentElectProtocol>,
         explore: Some(&AGENT_ELECT_EXPLORE),
         oracle: always_elects,
     },
@@ -478,11 +408,6 @@ mod tests {
                 "{}: the explorable cap and the explore spec must agree",
                 e.id
             );
-            assert!(
-                !e.caps.engines.is_empty(),
-                "{} supports no engine at all",
-                e.id
-            );
         }
     }
 
@@ -490,13 +415,10 @@ mod tests {
     fn explore_specs_run_on_both_deterministic_engines_identically() {
         // The coverage-signature contract: same (instance, seed,
         // schedule) → byte-identical outcomes/leader/grants on gated
-        // and sim, for every explorable entry that serves both.
+        // and sim, for every explorable entry.
         let bc = cycle(9, &[0, 1, 3]);
         for e in registry().entries() {
             let Some(spec) = e.explore else { continue };
-            if !e.supports(Engine::Sim) {
-                continue;
-            }
             let cfg = gated::RunConfig {
                 seed: 11,
                 record_trace: true,
@@ -558,19 +480,68 @@ mod tests {
     }
 
     #[test]
-    fn engine_gating_is_typed() {
-        let bc = cycle(6, &[0, 3]);
-        let entry = resolve("quantitative").unwrap();
-        let err = entry
-            .run(&bc, &RunConfig::new(0).engine(Engine::Sim))
-            .unwrap_err();
-        assert_eq!(
-            err,
-            RunError::UnsupportedEngine {
-                protocol: "quantitative",
-                engine: "sim",
+    fn every_entry_runs_identically_on_both_engines() {
+        let petersen_pair = Bicolored::new(families::petersen().unwrap(), &[0, 1]).unwrap();
+        let hypercube = Bicolored::new(families::hypercube(3).unwrap(), &[0, 7]).unwrap();
+        let instances = [cycle(9, &[0, 1, 3]), cycle(6, &[0, 3]), hypercube];
+        assert_eq!(registry().entries().len(), 9);
+        for e in registry().entries() {
+            let cases: &[Bicolored] = if e.id.name() == "petersen" {
+                std::slice::from_ref(&petersen_pair)
+            } else {
+                &instances
+            };
+            for bc in cases {
+                let cfg = RunConfig::new(11).record_trace(true);
+                let run_on = |engine: Engine| {
+                    e.run(bc, &cfg.clone().engine(engine))
+                        .unwrap_or_else(|err| panic!("{} on {}: {err}", e.id, engine.name()))
+                };
+                let gated = run_on(Engine::Gated);
+                let sim = run_on(Engine::Sim);
+                assert_eq!(gated.engine, "gated");
+                assert_eq!(sim.engine, "sim");
+                assert!(!gated.report.trace.is_empty(), "{}", e.id);
+                assert_eq!(
+                    gated.report.fingerprint(),
+                    sim.report.fingerprint(),
+                    "{} on {:?}",
+                    e.id,
+                    bc.homebases()
+                );
             }
-        );
+        }
+    }
+
+    #[test]
+    fn out_of_domain_instances_are_typed_errors_not_unwinds() {
+        let petersen_triple = Bicolored::new(families::petersen().unwrap(), &[0, 1, 2]).unwrap();
+        let mismatched = [cycle(6, &[0, 3]), petersen_triple];
+        for e in registry().entries() {
+            for bc in &mismatched {
+                for engine in [Engine::Gated, Engine::Sim] {
+                    let cfg = RunConfig::new(0).engine(engine);
+                    let result =
+                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| e.run(bc, &cfg)));
+                    let result = result.unwrap_or_else(|_| {
+                        panic!(
+                            "{} unwound on {:?} ({})",
+                            e.id,
+                            bc.homebases(),
+                            engine.name()
+                        )
+                    });
+                    if e.id.name() == "petersen" {
+                        assert!(
+                            matches!(result, Err(RunError::AgentPanicked { .. })),
+                            "petersen outside its domain must be a typed error: {result:?}"
+                        );
+                    }
+                }
+            }
+        }
+        let err = QuantitativeProtocol::new(&[5, 5]).unwrap_err();
+        assert!(err.contains("distinct"), "{err}");
     }
 
     #[test]
@@ -581,10 +552,7 @@ mod tests {
         let cases = [cycle(9, &[0, 1, 3]), cycle(6, &[0, 3])];
         for e in registry().entries().iter().filter(|e| e.caps.servable) {
             for bc in &cases {
-                for &engine in e.caps.engines {
-                    if engine == Engine::Free {
-                        continue; // nondeterministic; the point is no panic on gated/sim
-                    }
+                for engine in [Engine::Gated, Engine::Sim] {
                     let run = e
                         .run(bc, &RunConfig::new(3).engine(engine))
                         .unwrap_or_else(|err| panic!("{} on {}: {err}", e.id, engine.name()));

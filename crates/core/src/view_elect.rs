@@ -16,27 +16,34 @@
 //! Two caveats the test-suite demonstrates:
 //!
 //! * the protocol is *quantitative*: it requires globally comparable
-//!   port labels, so it must run with port scrambling disabled
-//!   ([`run_view_elect`] does) — under qualitative per-agent encodings
+//!   port labels, so it must run with port scrambling disabled (the
+//!   `view` registry entry does) — under qualitative per-agent encodings
 //!   the computed "views" would not be common knowledge;
 //! * unlike ELECT, the verdict **depends on the labeling** (Fig. 2's
 //!   very point): the same `(G, p)` can be solvable under an asymmetric
 //!   labeling and unsolvable under a symmetric one, whereas ELECT's
 //!   verdict is labeling-invariant.
 
-use crate::mapdraw::map_drawing;
-use qelect_agentsim::gated::{run_gated_faulty, GatedAgent, RunConfig, RunReport};
-use qelect_agentsim::FaultPlan;
-use qelect_agentsim::{AgentOutcome, Interrupt, MobileCtx};
+use crate::mapdraw::map_drawing_async;
+use qelect_agentsim::{AgentOutcome, Interrupt, MobileCtxAsync, Protocol};
 use qelect_graph::view::ViewTree;
-use qelect_graph::Bicolored;
+
+/// The view-ordered election protocol (quantitative port labels: run it
+/// with port scrambling disabled).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ViewElectProtocol;
+
+impl Protocol for ViewElectProtocol {
+    async fn run_async<C: MobileCtxAsync>(&self, ctx: &mut C) -> Result<AgentOutcome, Interrupt> {
+        view_elect_async(ctx).await
+    }
+}
 
 /// The view-ordered election protocol (quantitative port labels).
-pub fn view_elect<C: MobileCtx>(ctx: &mut C) -> Result<AgentOutcome, Interrupt> {
-    let map = map_drawing(ctx)?;
+pub async fn view_elect_async<C: MobileCtxAsync>(ctx: &mut C) -> Result<AgentOutcome, Interrupt> {
+    let map = map_drawing_async(ctx).await?;
     let bc = map.to_bicolored();
     let depth = bc.n().saturating_sub(1); // Norris depth
-    let me = ctx.color();
     let my_home = 0usize;
 
     // Views of every home-base, compared by the total order on trees.
@@ -57,7 +64,6 @@ pub fn view_elect<C: MobileCtx>(ctx: &mut C) -> Result<AgentOutcome, Interrupt> 
         // Minimal view shared: the labeling does not break the symmetry.
         return Ok(AgentOutcome::Unsolvable);
     }
-    let _ = me;
     Ok(if owners[0] == my_home {
         AgentOutcome::Leader
     } else {
@@ -65,25 +71,26 @@ pub fn view_elect<C: MobileCtx>(ctx: &mut C) -> Result<AgentOutcome, Interrupt> 
     })
 }
 
-/// Run the view-ordered protocol. Port scrambling is disabled: the
-/// quantitative model gives every agent the same integer port labels.
-pub fn run_view_elect(bc: &Bicolored, mut cfg: RunConfig) -> RunReport {
-    cfg.scramble_ports = false;
-    let agents: Vec<GatedAgent> = (0..bc.r())
-        .map(|_| -> GatedAgent { Box::new(view_elect) })
-        .collect();
-    run_gated_faulty(bc, cfg, &FaultPlan::none(), agents).expect("gated run failed")
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use qelect_graph::{families, GraphBuilder, Port};
+    use qelect_agentsim::{Engine, RunConfig, RunReport};
+    use qelect_graph::{families, Bicolored, GraphBuilder, Port};
+
+    /// The `view` registry entry (quantitative labels, so no
+    /// scrambling), run on both engines: gated is the oracle, so the
+    /// sim report must match it exactly.
+    fn run_view(bc: &Bicolored, cfg: RunConfig) -> RunReport {
+        let entry = crate::registry::resolve("view").unwrap();
+        let on = |engine| entry.run(bc, &cfg.clone().engine(engine)).unwrap().report;
+        let (gated, sim) = (on(Engine::Gated), on(Engine::Sim));
+        assert_eq!(gated.fingerprint(), sim.fingerprint(), "gated vs sim");
+        sim
+    }
 
     #[test]
     fn elects_on_asymmetric_placement_without_ids() {
         let bc = Bicolored::new(families::cycle(7).unwrap(), &[0, 1, 3]).unwrap();
-        let report = run_view_elect(&bc, RunConfig::default());
+        let report = run_view(&bc, RunConfig::default());
         assert!(report.clean_election(), "{:?}", report.outcomes);
     }
 
@@ -92,7 +99,7 @@ mod tests {
         // C6 antipodal under the rotation-invariant Cayley labeling: the
         // two home-bases have identical views.
         let bc = Bicolored::new(families::cycle(6).unwrap(), &[0, 3]).unwrap();
-        let report = run_view_elect(&bc, RunConfig::default());
+        let report = run_view(&bc, RunConfig::default());
         assert!(report.unanimous_unsolvable(), "{:?}", report.outcomes);
     }
 
@@ -120,7 +127,7 @@ mod tests {
             part.class[0], part.class[3],
             "labeling must split the homes"
         );
-        let report = run_view_elect(&bc, RunConfig::default());
+        let report = run_view(&bc, RunConfig::default());
         assert!(
             report.clean_election(),
             "asymmetric labeling must allow view election: {:?}",
@@ -131,7 +138,7 @@ mod tests {
     #[test]
     fn single_agent_trivially_wins() {
         let bc = Bicolored::new(families::petersen().unwrap(), &[4]).unwrap();
-        let report = run_view_elect(&bc, RunConfig::default());
+        let report = run_view(&bc, RunConfig::default());
         assert_eq!(report.leader, Some(0));
     }
 
@@ -149,7 +156,7 @@ mod tests {
             classes.sort_unstable();
             classes.dedup();
             let distinct = classes.len() == hbs.len();
-            let report = run_view_elect(&bc, RunConfig::default());
+            let report = run_view(&bc, RunConfig::default());
             if distinct {
                 assert!(report.clean_election(), "{hbs:?}: {:?}", report.outcomes);
             } else {

@@ -5,7 +5,7 @@
 //! cargo run --example petersen_duel
 //! ```
 
-use qelect::petersen::run_petersen;
+use qelect::petersen::PetersenProtocol;
 use qelect::prelude::*;
 use qelect_graph::surrounding::ordered_classes;
 use qelect_graph::{families, Bicolored};
@@ -30,7 +30,9 @@ fn main() {
     println!("\nthe bespoke five-step protocol (mark a neighbor, find the");
     println!("other's mark, race for the unique common neighbor):");
     for seed in 0..3 {
-        let report = run_petersen(&bc, RunConfig::new(seed).to_gated());
+        let report = qelect_agentsim::run(&bc, &RunConfig::new(seed), &PetersenProtocol)
+            .expect("petersen run failed")
+            .report;
         println!(
             "  seed {seed}: leader = agent {:?} ({} moves)",
             report.leader.expect("the duel always crowns someone"),

@@ -10,7 +10,7 @@
 //! example measures exactly how much extra work the straightforward part
 //! costs.
 
-use qelect::gathering::run_gather;
+use qelect::gathering::GatherProtocol;
 use qelect::prelude::*;
 use qelect_graph::{families, Bicolored};
 
@@ -35,7 +35,9 @@ fn main() {
     );
 
     // Election + gathering.
-    let report = run_gather(&instance, RunConfig::default().to_gated());
+    let report = qelect_agentsim::run(&instance, &RunConfig::default(), &GatherProtocol)
+        .expect("gathering run failed")
+        .report;
     assert!(report.clean_election(), "{:?}", report.outcomes);
     println!(
         "election + gathering: leader = agent {:?}, {} moves",
@@ -50,7 +52,9 @@ fn main() {
 
     // And on an unsolvable instance, gathering honestly fails too.
     let sym = Bicolored::new(families::torus(&[4, 4]).unwrap(), &[0, 10]).unwrap();
-    let report = run_gather(&sym, RunConfig::default().to_gated());
+    let report = qelect_agentsim::run(&sym, &RunConfig::default(), &GatherProtocol)
+        .expect("gathering run failed")
+        .report;
     println!(
         "\n4x4 torus, antipodal pair → {:?} (no leader, no rendezvous point)",
         report.outcomes[0]

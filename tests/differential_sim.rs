@@ -61,7 +61,13 @@ fn fingerprint(report: &RunReport) -> String {
 /// full fingerprint AND the serialized `qelect-trace/1` artifact agree
 /// byte-for-byte. Returns the gated run for further checks.
 fn assert_elect_differential(bc: &Bicolored, seed: u64, label: &str) -> ElectionRun {
-    let gated = run_election(bc, &RunConfig::new(seed).record_trace(true)).unwrap();
+    let gated = run_election(
+        bc,
+        &RunConfig::new(seed)
+            .engine(Engine::Gated)
+            .record_trace(true),
+    )
+    .unwrap();
     let sim = run_election(
         bc,
         &RunConfig::new(seed).engine(Engine::Sim).record_trace(true),
@@ -189,7 +195,7 @@ proptest! {
         // gated engine, strictly replayed on the sim engine, reproduces
         // the run byte-for-byte — sim steps ARE gated steps.
         let bc = diverse_instance(kind, size, agent_seed);
-        let cfg = RunConfig::new(seed).record_trace(true);
+        let cfg = RunConfig::new(seed).engine(Engine::Gated).record_trace(true);
         let recorded = run_election(&bc, &cfg).unwrap();
         let replayed = run_election(
             &bc,
@@ -369,7 +375,7 @@ fn sim_elects_on_ten_thousand_nodes_within_budget() {
     // slower per step but the probe is step-light).
     let gated = qelect_agentsim::run(
         &bc,
-        &RunConfig::new(0).record_trace(true),
+        &RunConfig::new(0).engine(Engine::Gated).record_trace(true),
         &RingProbeProtocol,
     )
     .unwrap();

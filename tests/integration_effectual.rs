@@ -3,8 +3,8 @@
 
 use qelect::prelude::*;
 use qelect::solvability::{election_possible_cayley, impossible_by_thm21};
-// The effectual/bespoke drivers (`run_translation_elect`, `run_petersen`)
-// are gated-engine specific, so this file uses the gated config.
+// The effectual driver (`run_translation_elect`) is gated-engine
+// specific, so this file uses the gated config.
 use qelect_agentsim::gated::RunConfig;
 use qelect_agentsim::AgentOutcome;
 use qelect_graph::{families, Bicolored};
@@ -137,7 +137,11 @@ fn petersen_divergence_elect_fails_bespoke_succeeds() {
         .all(|o| *o == AgentOutcome::Undecided));
 
     // 3. The bespoke protocol elects.
-    let bespoke = qelect::petersen::run_petersen(&bc, RunConfig::default());
+    let bespoke = qelect::registry::resolve("petersen")
+        .unwrap()
+        .run(&bc, &qelect_agentsim::RunConfig::default())
+        .unwrap()
+        .report;
     assert!(bespoke.clean_election(), "{:?}", bespoke.outcomes);
 }
 

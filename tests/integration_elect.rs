@@ -127,9 +127,9 @@ fn elect_consistent_across_scheduler_policies() {
 }
 
 #[test]
-fn elect_runs_on_the_parallel_engine() {
-    // The same protocol code on the free-running engine: outcomes must
-    // match the gated verdicts (true parallel agents, mutexed boards).
+fn elect_runs_on_the_sim_engine() {
+    // The same protocol code on the single-threaded sim engine: outcomes
+    // must match the gcd verdicts.
     for (label, bc) in [
         (
             "C6/trio",
@@ -141,8 +141,8 @@ fn elect_runs_on_the_parallel_engine() {
         ),
     ] {
         let expected = elect_succeeds(&bc);
-        let election = run_election(&bc, &RunConfig::new(0).engine(Engine::Free)).unwrap();
-        assert_eq!(election.engine, "free");
+        let election = run_election(&bc, &RunConfig::new(0).engine(Engine::Sim)).unwrap();
+        assert_eq!(election.engine, "sim");
         assert_eq!(
             election.clean_election(),
             expected,
@@ -158,7 +158,10 @@ fn quantitative_baseline_is_universal_where_elect_fails() {
     // Table 1, quantitative row: success even on the gcd > 1 instances.
     for (label, bc) in suite() {
         let ids: Vec<u64> = (0..bc.r() as u64).map(|i| 100 + 7 * i).collect();
-        let report = run_quantitative(&bc, RunConfig::default().to_gated(), &ids);
+        let protocol = QuantitativeProtocol::new(&ids).unwrap();
+        let report = qelect_agentsim::run(&bc, &RunConfig::default(), &protocol)
+            .unwrap()
+            .report;
         assert!(
             report.clean_election(),
             "{label}: quantitative must be universal, got {:?}",
@@ -209,10 +212,12 @@ fn elect_exhaustive_over_small_placements() {
 
 #[test]
 fn gathering_inherits_election_verdicts() {
-    use qelect::gathering::run_gather;
+    use qelect::gathering::GatherProtocol;
     for (label, bc) in suite() {
         let expected = elect_succeeds(&bc);
-        let report = run_gather(&bc, RunConfig::default().to_gated());
+        let report = qelect_agentsim::run(&bc, &RunConfig::default(), &GatherProtocol)
+            .unwrap()
+            .report;
         assert_eq!(
             report.clean_election(),
             expected,

@@ -35,31 +35,6 @@ fn acceptance_suite() -> Vec<(&'static str, Bicolored)> {
     ]
 }
 
-/// Everything two identical runs must share, formatted for assert_eq
-/// diffs: outcomes, leader, recorded schedule, events, raw per-agent
-/// counters, fault activity, and every closed span's exclusive cost.
-fn fingerprint(report: &RunReport) -> String {
-    let spans: Vec<String> = report
-        .metrics
-        .spans
-        .iter()
-        .map(|s| {
-            let (m, a, w) = s.exclusive();
-            format!("{}:{}:{m}:{a}:{w}", s.agent, s.name)
-        })
-        .collect();
-    format!(
-        "outcomes={:?}\nleader={:?}\ntrace={:?}\nevents={:?}\nper_agent={:?}\nfaults={:?}\nspans={}",
-        report.outcomes,
-        report.leader,
-        report.trace,
-        report.events,
-        report.metrics.per_agent,
-        report.metrics.faults,
-        spans.join(","),
-    )
-}
-
 #[test]
 fn generated_plans_agree_with_oracle_on_both_engines() {
     // The acceptance criterion verbatim: with any generated plan whose
@@ -70,7 +45,7 @@ fn generated_plans_agree_with_oracle_on_both_engines() {
         for seed in [0u64, 1] {
             for p in 0..2u64 {
                 let plan = FaultPlan::generate(seed * 31 + p, bc.r(), 25, 2, 1);
-                for engine in [Engine::Gated, Engine::Sim, Engine::Free] {
+                for engine in [Engine::Gated, Engine::Sim] {
                     let run = qelect::replay::run_elect_with_plan(&bc, seed, engine, &plan)
                         .unwrap_or_else(|e| panic!("{label} {}: {e}", engine.name()));
                     qelect::replay::faulty_run_matches_oracle(&bc, &run).unwrap_or_else(|e| {
@@ -172,7 +147,7 @@ fn agent_panics_surface_as_typed_run_errors() {
         }
     }
     let bc = Bicolored::new(families::cycle(5).unwrap(), &[0]).unwrap();
-    for engine in [Engine::Gated, Engine::Sim, Engine::Free] {
+    for engine in [Engine::Gated, Engine::Sim] {
         let err = qelect_agentsim::run(&bc, &RunConfig::new(0).engine(engine), &Bomb)
             .expect_err("a panicking agent must not look like a clean run");
         match err {
@@ -190,16 +165,17 @@ fn crash_free_plan_is_behaviorally_invisible() {
     // The empty plan must not perturb anything: same outcomes, same
     // schedule, same events, same metrics as a run with no fault plumbing.
     let bc = Bicolored::new(families::cycle(6).unwrap(), &[0, 2, 3]).unwrap();
-    let plain = run_election(&bc, &RunConfig::new(3).record_trace(true)).unwrap();
-    let with_plan = run_election(
-        &bc,
-        &RunConfig::new(3)
-            .record_trace(true)
-            .faults(FaultPlan::none()),
-    )
-    .unwrap();
-    assert_eq!(fingerprint(&plain.report), fingerprint(&with_plan.report));
-    assert!(!with_plan.faults.any());
+    for engine in [Engine::Gated, Engine::Sim] {
+        let cfg = RunConfig::new(3).engine(engine).record_trace(true);
+        let plain = run_election(&bc, &cfg).unwrap();
+        let with_plan = run_election(&bc, &cfg.faults(FaultPlan::none())).unwrap();
+        assert_eq!(
+            plain.report.fingerprint(),
+            with_plan.report.fingerprint(),
+            "{engine:?}"
+        );
+        assert!(!with_plan.faults.any(), "{engine:?}");
+    }
 }
 
 #[test]
@@ -267,7 +243,7 @@ proptest! {
         };
         let plan = FaultPlan::generate(plan_seed, bc.r(), 30, crashes, delays);
         let (first, second) = record_replay_elect_with_plan(&bc, seed, &plan).unwrap();
-        prop_assert_eq!(fingerprint(&first.report), fingerprint(&second.report));
+        prop_assert_eq!(first.report.fingerprint(), second.report.fingerprint());
         // And both agree with the oracle (eventually-restarting regime).
         let solvable = elect_succeeds(&bc);
         prop_assert_eq!(first.clean_election(), solvable);

@@ -599,6 +599,45 @@ fn unknown_protocols_are_bad_requests_per_surface() {
 }
 
 #[test]
+fn free_engine_is_a_typed_unknown_engine_400() {
+    let server = spawn(test_config());
+    let addr = server.addr();
+    let bad = r#"{"schema": "qelect-request/1", "spec": "cycle:9@0,1,3", "engine": "free"}"#;
+    let (code, body) = http(addr, "POST", "/v1/elect", bad);
+    assert_eq!(code, 400, "{body}");
+    let resp = parse_response(&body);
+    assert_eq!(get(&resp, "kind").unwrap().as_str(), Some("error"));
+    let error = get(&resp, "error").unwrap().as_str().unwrap();
+    assert!(error.contains("unknown engine"), "{body}");
+    // In a batch the item fails alone, with the same typed message.
+    let mixed = r#"{"schema": "qelect-request/1", "requests": [
+        {"spec": "cycle:9@0,1,3", "seed": 1},
+        {"spec": "cycle:9@0,1,3", "seed": 1, "engine": "free"}
+    ]}"#;
+    let (code, body) = http(addr, "POST", "/v1/batch", mixed);
+    assert_eq!(code, 200, "{body}");
+    let resp = parse_response(&body);
+    let results = get(&resp, "results").unwrap().as_array().unwrap();
+    let ok = results[0].as_object().unwrap();
+    assert_eq!(
+        get(ok, "engine").unwrap().as_str(),
+        Some("sim"),
+        "absent = sim"
+    );
+    let bad = results[1].as_object().unwrap();
+    assert_eq!(get(bad, "kind").unwrap().as_str(), Some("bad_request"));
+    assert!(
+        get(bad, "error")
+            .unwrap()
+            .as_str()
+            .unwrap()
+            .contains("unknown engine"),
+        "{body}"
+    );
+    server.shutdown();
+}
+
+#[test]
 fn mixed_protocol_batch_round_trips() {
     let server = spawn(ServeConfig {
         shards: 2,
