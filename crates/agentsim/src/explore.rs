@@ -391,9 +391,11 @@ pub struct ExploreSession<'a> {
 }
 
 impl<'a> ExploreSession<'a> {
-    /// A session for a registry protocol: `entry` must be explorable.
-    /// The engine-level slice of `cfg` (seed, policy, step budget, scrambling)
-    /// configures every run of the session.
+    /// A session for a registry protocol: `entry` must be explorable and
+    /// `bc` inside its [`domain`](ProtocolEntry::domain) (the `Err` is
+    /// then [`RunError::OutOfDomain`]'s message). The engine-level slice
+    /// of `cfg` (seed, policy, step budget, scrambling) configures every
+    /// run of the session.
     pub fn from_entry(
         entry: &'static ProtocolEntry,
         bc: &'a Bicolored,
@@ -405,6 +407,7 @@ impl<'a> ExploreSession<'a> {
                 entry.id
             )
         })?;
+        (entry.domain)(bc).map_err(|why| RunError::OutOfDomain(why).to_string())?;
         Ok(ExploreSession::from_spec(
             spec,
             bc,
@@ -793,48 +796,18 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ctx::{AgentOutcome, MobileCtx};
+    use crate::ctx::AgentOutcome;
     use crate::fault::FaultPlan;
-    use crate::gated::{try_run_gated_with, GatedAgent, RunConfig};
-    use crate::sign::{Sign, SignKind};
+    use crate::gated::tests::Race;
+    use crate::gated::RunConfig;
+    use crate::run::run_with;
     use qelect_graph::{families, Bicolored};
 
     /// Two racers walk to C3's shared free node (2) and race to claim
     /// it; whoever posts first wins. Every schedule yields exactly one
     /// winner — so the "exactly one leader" property holds universally.
     fn race_run(bc: &Bicolored, cfg: &RunConfig, scheduler: &mut dyn Scheduler) -> RunReport {
-        let mk = || -> GatedAgent {
-            Box::new(|ctx| {
-                for _ in 0..3 {
-                    let board = ctx.read_board()?;
-                    if !board.iter().any(|s| s.kind == SignKind::HomeBase) {
-                        break;
-                    }
-                    let entry = ctx.entry();
-                    let fwd = ctx
-                        .ports()
-                        .into_iter()
-                        .find(|&p| Some(p) != entry)
-                        .expect("degree 2");
-                    ctx.move_via(fwd)?;
-                }
-                let me = ctx.color();
-                let won = ctx.with_board(move |wb| {
-                    if wb.find_kind(SignKind::Custom(1)).is_none() {
-                        wb.post(Sign::tag(me, SignKind::Custom(1)));
-                        true
-                    } else {
-                        false
-                    }
-                })?;
-                Ok(if won {
-                    AgentOutcome::Leader
-                } else {
-                    AgentOutcome::Defeated
-                })
-            })
-        };
-        try_run_gated_with(bc, *cfg, &FaultPlan::none(), vec![mk(), mk()], scheduler)
+        run_with(bc, cfg, Engine::Gated, &FaultPlan::none(), &Race, scheduler)
             .expect("gated run failed")
     }
 

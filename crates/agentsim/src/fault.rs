@@ -16,7 +16,7 @@
 //! memory (position, entry port, local maps) but every sign it wrote
 //! stays on the boards; the engine restarts it at its home-base after a
 //! bounded backoff, with only the incarnation index
-//! ([`crate::MobileCtx::incarnation`]) distinguishing the restart from a
+//! ([`crate::MobileCtxAsync::incarnation`]) distinguishing the restart from a
 //! fresh start. Recovery correctness then rests on the protocol's signs
 //! being monotone (ELECT never erases), which is exactly what the
 //! paper's whiteboard discipline provides.
@@ -119,7 +119,7 @@ impl FaultPlan {
     }
 
     /// Whether any event is a crash (protocols arm recovery journaling
-    /// exactly when this holds; see [`crate::MobileCtx::crash_faults_armed`]).
+    /// exactly when this holds; see [`crate::MobileCtxAsync::crash_faults_armed`]).
     pub fn has_crashes(&self) -> bool {
         self.events
             .iter()

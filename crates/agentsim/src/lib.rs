@@ -21,28 +21,31 @@
 //!   replayable adversary. The synchronous-lockstep scheduler of the
 //!   paper's Section 1.3 impossibility argument is provided.
 //!
-//! Two deterministic execution engines run the *same* protocol code
-//! (written once against the [`ctx::MobileCtxAsync`] trait;
-//! [`ctx::SyncCtx`] adapts it to the blocking [`ctx::MobileCtx`] engine):
+//! Two deterministic execution engines run the *same* protocol code,
+//! written once as an `async` [`Protocol`] body over the
+//! [`ctx::MobileCtxAsync`] trait:
 //!
 //! * [`sim`] — the default, **single-threaded**: the gate semantics as a
 //!   discrete-event simulation over virtual time, with no per-step
 //!   thread handoffs — the engine for 10⁴–10⁵-node instances.
 //! * [`gated`] — the differential oracle: agents live on OS threads but
-//!   execute one primitive at a time, in scheduler order; detects
-//!   deadlocks and enforces step budgets (so impossibility arguments
-//!   terminate). Sim is pinned byte-identical to it on metrics, traces
-//!   and fault addressing.
+//!   execute one primitive at a time, in scheduler order, each primitive
+//!   blocking inside the poll; detects deadlocks and enforces step
+//!   budgets (so impossibility arguments terminate). Sim is pinned
+//!   byte-identical to it on metrics, traces and fault addressing.
 //!
 //! [`message_net`] implements the paper's Fig. 1 transformation: a
 //! mobile-agent protocol expressed as an explicit state machine
 //! ([`stepagent::StepAgent`]) is executed by an anonymous processor
-//! network in which *messages are agents*.
+//! network in which *messages are agents*; [`stepagent::drive`] runs the
+//! same machine natively on either engine.
 //!
 //! The [`mod@run`] module is the unified front door over both engines: a
 //! [`RunConfig`] builder selects an [`Engine`], optional [`fault::FaultPlan`]
 //! and replay schedule, and [`run()`] executes any [`Protocol`]
-//! implementation, returning an [`ElectionRun`] or a typed [`RunError`].
+//! implementation, returning an [`ElectionRun`] or a typed [`RunError`];
+//! [`run_with`] is the same dispatch for drivers that bring their own
+//! scheduler.
 //! [`fault`] provides deterministic, schedule-addressed fault injection:
 //! crash an agent at any whiteboard-access boundary, lose or delay its
 //! pending move, and restart it with only whiteboard-persisted state.
@@ -98,22 +101,19 @@ pub mod whiteboard;
 
 pub use color::{Color, ColorRegistry};
 pub use coverage::{signature, signature_with, CoverageMap, CoverageStats, PHASE_WINDOWS};
-pub use ctx::{poll_now, AgentOutcome, Interrupt, LocalPort, MobileCtx, MobileCtxAsync, SyncCtx};
+pub use ctx::{AgentOutcome, Interrupt, LocalPort, MobileCtxAsync};
 pub use explore::{
     shrink_schedule, shrink_trace, CounterExample, ExploreConfig, ExploreReport, ExploreSession,
     GuidedScheduler, RecordingScheduler,
 };
 pub use fault::{shrink_plan, FaultAction, FaultEvent, FaultPlan, FaultSummary, RecoveryPolicy};
-pub use gated::{GatedCtx, RunReport};
+pub use gated::RunReport;
 pub use metrics::{AgentMetrics, Metrics, PhaseBreakdown, PhaseSpan, SpanTracker, UNSPANNED};
-pub use registry::{
-    protocol_agents, ExploreSpec, ProtocolCaps, ProtocolEntry, ProtocolId, Registry,
-};
-pub use run::{run, ElectionRun, Engine, Protocol, ReplaySpec, RunConfig, RunError};
+pub use registry::{ExploreSpec, ProtocolCaps, ProtocolEntry, ProtocolId, Registry};
+pub use run::{run, run_with, ElectionRun, Engine, Protocol, ReplaySpec, RunConfig, RunError};
 pub use sched::{
     LockstepScheduler, RandomScheduler, ReplayScheduler, RoundRobinScheduler, Scheduler,
 };
 pub use sign::{Sign, SignKind};
-pub use sim::{run_sim_faulty, try_run_sim_with, SimCtx};
 pub use trace::{Trace, TraceEvent};
 pub use whiteboard::Whiteboard;

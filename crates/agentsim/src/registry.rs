@@ -16,8 +16,8 @@
 //! (e.g. `anon` for `anonymous`) are part of the entry, so they too are
 //! declared once.
 
-use crate::gated::{self, GatedAgent, RunReport};
-use crate::run::{ElectionRun, Engine, Protocol, RunConfig, RunError};
+use crate::gated::{self, RunReport};
+use crate::run::{ElectionRun, Engine, RunConfig, RunError};
 use crate::sched::Scheduler;
 use crate::trace::Trace;
 use qelect_graph::Bicolored;
@@ -49,8 +49,8 @@ impl fmt::Display for ProtocolId {
 
 /// What a registered protocol can do — the flags every surface consults
 /// instead of hard-coding per-protocol special cases. (Every protocol is
-/// a [`Protocol`] and runs on both engines, so engines are not a
-/// capability.)
+/// a [`Protocol`](crate::run::Protocol) and runs on both engines, so
+/// engines are not a capability.)
 #[derive(Debug, Clone, Copy)]
 pub struct ProtocolCaps {
     /// Whether the protocol recovers from crash faults (restarted
@@ -143,6 +143,14 @@ pub struct ProtocolEntry {
     /// report unsolvable; `None` — no oracle (outcome recorded, not
     /// gated).
     pub oracle: fn(&Bicolored) -> Option<bool>,
+    /// The instances the protocol is defined on: `Err(why)` for an
+    /// instance outside its domain. [`ProtocolEntry::run`] and
+    /// [`ExploreSession::from_entry`] check it before any agent starts,
+    /// so an out-of-domain request fails typed and quietly instead of
+    /// on an agent's assertion.
+    ///
+    /// [`ExploreSession::from_entry`]: crate::explore::ExploreSession::from_entry
+    pub domain: fn(&Bicolored) -> Result<(), String>,
 }
 
 impl fmt::Debug for ProtocolEntry {
@@ -157,26 +165,14 @@ impl fmt::Debug for ProtocolEntry {
 
 impl ProtocolEntry {
     /// Run the protocol on `bc` as described by `cfg`. Instances outside
-    /// the protocol's domain come back as a typed [`RunError`], never as
-    /// a panic on the caller's thread.
+    /// the protocol's [`domain`](ProtocolEntry::domain) come back as
+    /// [`RunError::OutOfDomain`] before any agent starts; a panicking
+    /// agent is a typed [`RunError`] too, never a panic on the caller's
+    /// thread.
     pub fn run(&self, bc: &Bicolored, cfg: &RunConfig) -> Result<ElectionRun, RunError> {
+        (self.domain)(bc).map_err(RunError::OutOfDomain)?;
         (self.runner)(bc, cfg)
     }
-}
-
-/// Fresh gated agent programs, agent `i` running
-/// `protocol.for_agent(i)` — the standard way an [`ExploreSpec::run`]
-/// driver builds its agents for protocols implementing [`Protocol`].
-pub fn protocol_agents<P>(protocol: P, bc: &Bicolored) -> Vec<GatedAgent>
-where
-    P: Protocol + Clone + Send + 'static,
-{
-    (0..bc.r())
-        .map(|i| -> GatedAgent {
-            let p = protocol.for_agent(i);
-            Box::new(move |ctx| p.run(ctx))
-        })
-        .collect()
 }
 
 /// A fixed table of protocol entries with name/alias resolution.

@@ -1,25 +1,23 @@
 //! The unified front door for running a protocol: one [`RunConfig`]
 //! builder, one [`Engine`] choice, one [`ElectionRun`] result.
 //!
-//! Historically each way of running a protocol had its own entry point
-//! with its own config type — `gated::run_gated` (policy scheduling),
-//! `gated::run_gated_with` (replay / exploration) — and every caller
-//! (qelectctl, the sweep engine, the test suites) re-assembled the same
-//! plumbing by hand. [`run`] collapses them: describe the run
-//! declaratively with a [`RunConfig`], hand over anything implementing
-//! [`Protocol`], and get back an [`ElectionRun`] or a typed
-//! [`RunError`]. The old free functions are
-//! gone; every caller comes through this path (protocols with stable
-//! wire names resolve here via [`crate::registry`]).
+//! Describe the run declaratively with a [`RunConfig`], hand over
+//! anything implementing [`Protocol`], and [`run`] returns an
+//! [`ElectionRun`] or a typed [`RunError`]. Every caller (qelectctl, the
+//! sweep engine, the serving layer, the test suites) comes through this
+//! path; protocols with stable wire names resolve here via
+//! [`crate::registry`]. Drivers that bring their own scheduler — the
+//! schedule explorer — use [`run_with`], the one place that chooses
+//! between the two engines.
 //!
 //! Fault injection rides the same door: [`RunConfig::faults`] attaches a
 //! [`FaultPlan`], and the run's fault activity comes back in
 //! [`ElectionRun::faults`].
 
-use crate::ctx::{poll_now, AgentOutcome, Interrupt, MobileCtx, MobileCtxAsync, SyncCtx};
+use crate::ctx::{AgentOutcome, Interrupt, MobileCtxAsync};
 use crate::fault::{FaultPlan, FaultSummary};
-use crate::gated::{self, GatedAgent, RunReport};
-use crate::sched::{Policy, ReplayScheduler};
+use crate::gated::{self, RunReport};
+use crate::sched::{Policy, ReplayScheduler, Scheduler};
 use qelect_graph::Bicolored;
 use std::fmt;
 
@@ -29,7 +27,7 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
     /// The scheduler-gated thread engine, kept as the differential
-    /// oracle: one OS thread per agent, every primitive passes through a
+    /// oracle: one OS thread per agent, every primitive blocks at a
     /// grant gate.
     Gated,
     /// The single-threaded discrete-event engine ([`crate::sim`]), the
@@ -161,10 +159,11 @@ impl RunConfig {
     }
 }
 
-/// Why a run could not produce a report. These are *runtime-integrity*
-/// failures (an agent program panicked, an engine channel died) —
-/// protocol-level interrupts (deadlock, step budget, crashes) are
-/// normal results, reported inside [`RunReport`].
+/// Why a run could not produce a report. These are instance-admission
+/// failures (the instance is outside the protocol's domain) and
+/// *runtime-integrity* failures (an agent program panicked, an engine
+/// channel died) — protocol-level interrupts (deadlock, step budget,
+/// crashes) are normal results, reported inside [`RunReport`].
 ///
 /// On whiteboard "lock poisoning": the engines guard boards with
 /// `parking_lot` mutexes, which do not poison — a panic inside a board
@@ -174,6 +173,9 @@ impl RunConfig {
 /// through `expect` calls in the engine loop.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunError {
+    /// The instance is outside the protocol's domain (see
+    /// [`crate::registry::ProtocolEntry::domain`]); no agent started.
+    OutOfDomain(String),
     /// An agent program panicked (assertion failure, invalid port, …).
     /// The engine keeps the remaining agents coherent — the panicking
     /// agent reports Finished so the scheduler never hangs — and
@@ -196,6 +198,9 @@ pub enum RunError {
 impl fmt::Display for RunError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            RunError::OutOfDomain(why) => {
+                write!(f, "instance outside the protocol's domain: {why}")
+            }
             RunError::AgentPanicked { agent, message } => {
                 write!(f, "agent {agent} panicked: {message}")
             }
@@ -213,27 +218,15 @@ impl std::error::Error for RunError {}
 /// [`Protocol::for_agent`], so any per-run configuration lives in the
 /// implementing type's fields.
 ///
-/// Implement [`Protocol::run_async`] only: the blocking-style body with
-/// `.await` on each primitive. The gated thread engine executes it
-/// through the provided [`Protocol::run`] adapter, whose [`SyncCtx`]
-/// resolves every primitive inside the poll, so the body runs exactly
-/// as the pre-async blocking code did. The sim engine polls the same
-/// body as a state machine over virtual time. `run_async` is required
-/// (not defaulted) precisely so that no protocol can exist that the sim
-/// engine cannot execute.
+/// Implement [`Protocol::run_async`]: the blocking-style body with
+/// `.await` on each primitive. The sim engine polls it as a state
+/// machine over virtual time; the gated oracle runs it on one thread
+/// per agent, where every primitive blocks inside the poll.
 pub trait Protocol {
     /// Execute the protocol to a terminal outcome (the one body every
     /// engine runs).
     #[allow(async_fn_in_trait)]
     async fn run_async<C: MobileCtxAsync>(&self, ctx: &mut C) -> Result<AgentOutcome, Interrupt>;
-
-    /// Blocking adapter for the gated thread engine: drive
-    /// [`run_async`] against a [`SyncCtx`], which never suspends.
-    ///
-    /// [`run_async`]: Protocol::run_async
-    fn run<C: MobileCtx>(&self, ctx: &mut C) -> Result<AgentOutcome, Interrupt> {
-        poll_now(self.run_async(&mut SyncCtx(ctx)))
-    }
 
     /// The value agent `agent` (the `agent`-th home-base) runs. Defaults
     /// to a clone: qualitative protocols must not tell agents apart, so
@@ -274,78 +267,51 @@ impl ElectionRun {
 /// Run `protocol` on `bc` as described by `cfg`.
 ///
 /// Agent `i` starts at the `i`-th home-base and runs
-/// `protocol.for_agent(i)`.
+/// `protocol.for_agent(i)`. The scheduler replays `cfg.replay` when it
+/// is set and follows `cfg.policy` otherwise.
 pub fn run<P>(bc: &Bicolored, cfg: &RunConfig, protocol: &P) -> Result<ElectionRun, RunError>
 where
     P: Protocol + Clone + Send + 'static,
 {
-    let report = match cfg.engine {
-        Engine::Gated => {
-            let agents: Vec<GatedAgent> = (0..bc.r())
-                .map(|i| -> GatedAgent {
-                    let p = protocol.for_agent(i);
-                    Box::new(move |ctx| p.run(ctx))
-                })
-                .collect();
-            match &cfg.replay {
-                Some(spec) => {
-                    let mut scheduler = if spec.strict {
-                        ReplayScheduler::strict(spec.schedule.clone())
-                    } else {
-                        ReplayScheduler::new(spec.schedule.clone())
-                    };
-                    gated::try_run_gated_with(
-                        bc,
-                        cfg.to_gated(),
-                        &cfg.faults,
-                        agents,
-                        &mut scheduler,
-                    )?
-                }
-                None => {
-                    let mut scheduler = cfg.policy.build(cfg.seed);
-                    gated::try_run_gated_with(
-                        bc,
-                        cfg.to_gated(),
-                        &cfg.faults,
-                        agents,
-                        scheduler.as_mut(),
-                    )?
-                }
-            }
-        }
-        Engine::Sim => match &cfg.replay {
-            Some(spec) => {
-                let mut scheduler = if spec.strict {
-                    ReplayScheduler::strict(spec.schedule.clone())
-                } else {
-                    ReplayScheduler::new(spec.schedule.clone())
-                };
-                crate::sim::try_run_sim_with(
-                    bc,
-                    cfg.to_gated(),
-                    &cfg.faults,
-                    protocol,
-                    &mut scheduler,
-                )?
-            }
-            None => {
-                let mut scheduler = cfg.policy.build(cfg.seed);
-                crate::sim::try_run_sim_with(
-                    bc,
-                    cfg.to_gated(),
-                    &cfg.faults,
-                    protocol,
-                    scheduler.as_mut(),
-                )?
-            }
-        },
+    let mut scheduler: Box<dyn Scheduler> = match &cfg.replay {
+        Some(spec) if spec.strict => Box::new(ReplayScheduler::strict(spec.schedule.clone())),
+        Some(spec) => Box::new(ReplayScheduler::new(spec.schedule.clone())),
+        None => cfg.policy.build(cfg.seed),
     };
+    let report = run_with(
+        bc,
+        &cfg.to_gated(),
+        cfg.engine,
+        &cfg.faults,
+        protocol,
+        scheduler.as_mut(),
+    )?;
     Ok(ElectionRun {
         engine: cfg.engine.name(),
         faults: report.metrics.faults,
         report,
     })
+}
+
+/// Run `protocol` on `engine` under a caller-supplied scheduler — the
+/// one place that chooses between the engines. [`run`] builds the
+/// scheduler from its config; the schedule explorer drives a
+/// [`crate::explore::GuidedScheduler`] or a replay through here.
+pub fn run_with<P>(
+    bc: &Bicolored,
+    cfg: &gated::RunConfig,
+    engine: Engine,
+    faults: &FaultPlan,
+    protocol: &P,
+    scheduler: &mut dyn Scheduler,
+) -> Result<RunReport, RunError>
+where
+    P: Protocol + Clone + Send,
+{
+    match engine {
+        Engine::Gated => gated::try_run_gated_with(bc, *cfg, faults, protocol, scheduler),
+        Engine::Sim => crate::sim::try_run_sim_with(bc, *cfg, faults, protocol, scheduler),
+    }
 }
 
 #[cfg(test)]

@@ -199,12 +199,12 @@ impl<F: Future> Future for CatchPanic<F> {
     }
 }
 
-/// The concrete [`MobileCtxAsync`] of the sim engine. Where
-/// [`crate::gated::GatedCtx`] blocks on a grant channel, this parks its
-/// state machine at a `Gate`; everything else — fault boundaries,
-/// metric counting, event recording, port scrambling — is the same code
-/// path in the same order, which is what the differential suite pins.
-pub struct SimCtx {
+/// The concrete [`MobileCtxAsync`] of the sim engine. Where the gated
+/// engine's context blocks on a grant channel, this parks its state
+/// machine at a `Gate`; everything else — fault boundaries, metric
+/// counting, event recording, port scrambling — is the same code path
+/// in the same order, which is what the differential suite pins.
+struct SimCtx {
     core: Rc<RefCell<SimCore>>,
     id: usize,
     color: Color,
@@ -493,29 +493,16 @@ impl MobileCtxAsync for SimCtx {
     }
 }
 
-/// Run a sim election under a fault plan with a policy-built scheduler
-/// (the sim twin of [`crate::gated::run_gated_faulty`]).
-pub fn run_sim_faulty<P: Protocol + Clone>(
-    bc: &Bicolored,
-    cfg: RunConfig,
-    faults: &FaultPlan,
-    protocol: &P,
-) -> Result<RunReport, RunError> {
-    let mut scheduler = cfg.policy.build(cfg.seed);
-    try_run_sim_with(bc, cfg, faults, protocol, scheduler.as_mut())
-}
-
-/// The full-featured sim entry point: caller-supplied scheduler, fault
-/// plan, typed errors — the sim twin of
-/// [`crate::gated::try_run_gated_with`], with the same contract:
-/// protocol-level interrupts come back inside the report, `Err` means
-/// the run lost integrity (an agent panicked, or an agent suspended on
-/// something that is not a sim gate).
+/// The sim engine entry point: caller-supplied scheduler, fault plan,
+/// typed errors — the same signature and contract as
+/// [`crate::gated::try_run_gated_with`]: protocol-level interrupts come
+/// back inside the report, `Err` means the run lost integrity (an agent
+/// panicked, or an agent suspended on something that is not a sim
+/// gate).
 ///
 /// Agent `i` starts at the `i`-th home-base with a fresh color and runs
-/// `protocol.for_agent(i)`, exactly like [`crate::run::run`] does for
-/// the gated engine.
-pub fn try_run_sim_with<P: Protocol + Clone>(
+/// `protocol.for_agent(i)`, as on the gated engine.
+pub(crate) fn try_run_sim_with<P: Protocol + Clone>(
     bc: &Bicolored,
     cfg: RunConfig,
     faults: &FaultPlan,
@@ -761,309 +748,57 @@ pub fn try_run_sim_with<P: Protocol + Clone>(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::fault::FaultEvent;
-    use crate::run::{run, Engine, RunConfig as UnifiedConfig};
-    use crate::MobileCtx;
-    use qelect_graph::families;
-
-    fn instance(n: usize, hbs: &[usize]) -> Bicolored {
-        Bicolored::new(families::cycle(n).unwrap(), hbs).unwrap()
-    }
-
-    fn run_sim<P: Protocol + Clone>(bc: &Bicolored, cfg: RunConfig, p: &P) -> RunReport {
-        run_sim_faulty(bc, cfg, &FaultPlan::none(), p).expect("sim run failed")
-    }
-
-    /// Claim leadership iff my own HomeBase sign is on my board.
-    #[derive(Clone)]
-    struct ClaimHome;
-    impl Protocol for ClaimHome {
-        async fn run_async<C: MobileCtxAsync>(
-            &self,
-            ctx: &mut C,
-        ) -> Result<AgentOutcome, Interrupt> {
-            let me = ctx.color();
-            let board = ctx.read_board().await?;
-            Ok(
-                if board
-                    .iter()
-                    .any(|s| s.kind == SignKind::HomeBase && s.color == me)
-                {
-                    AgentOutcome::Leader
-                } else {
-                    AgentOutcome::Defeated
-                },
-            )
-        }
-    }
-
-    /// Walk `hops` times through local port 0, posting a Visited sign
-    /// after each move.
-    #[derive(Clone)]
-    struct Walker {
-        hops: usize,
-    }
-    impl Protocol for Walker {
-        async fn run_async<C: MobileCtxAsync>(
-            &self,
-            ctx: &mut C,
-        ) -> Result<AgentOutcome, Interrupt> {
-            for _ in 0..self.hops {
-                ctx.move_via(LocalPort(0)).await?;
-                ctx.with_board(|wb| {
-                    wb.post(Sign::tag(Color::from_nonce(0), SignKind::Visited));
-                })
-                .await?;
-            }
-            Ok(AgentOutcome::Defeated)
-        }
-    }
-
-    /// Wait for a sign nobody ever writes.
-    #[derive(Clone)]
-    struct Godot;
-    impl Protocol for Godot {
-        async fn run_async<C: MobileCtxAsync>(
-            &self,
-            ctx: &mut C,
-        ) -> Result<AgentOutcome, Interrupt> {
-            ctx.wait_until(|wb| wb.find_kind(SignKind::Leader).is_some())
-                .await?;
-            Ok(AgentOutcome::Leader)
-        }
-    }
+    // The behaviours both engines share are pinned by the conformance
+    // table in `gated.rs`, which runs every row on gated and sim. The
+    // rows below are its `*_on` rows run on sim, each checked against
+    // the gated oracle.
+    use crate::gated::tests::{self as table, conform, instance, traced, Walker};
+    use crate::run::Engine;
 
     #[test]
     fn single_agent_trivial_protocol() {
-        let bc = instance(5, &[2]);
-        let report = run_sim(&bc, RunConfig::default(), &ClaimHome);
-        assert_eq!(report.outcomes, vec![AgentOutcome::Leader]);
-        assert_eq!(report.leader, Some(0));
-        assert!(report.clean_election());
+        table::single_agent_trivial_protocol_on(Engine::Sim);
     }
 
     #[test]
     fn homebase_signs_are_premarked() {
-        let bc = instance(5, &[0, 2]);
-        let report = run_sim(&bc, RunConfig::default(), &ClaimHome);
-        assert_eq!(
-            report.outcomes,
-            vec![AgentOutcome::Leader, AgentOutcome::Leader]
-        );
-        assert_eq!(report.leader, None, "two leaders is not a clean election");
+        table::homebase_signs_are_premarked_on(Engine::Sim);
     }
 
     #[test]
     fn deadlock_is_detected() {
-        let bc = instance(4, &[0, 2]);
-        let report = run_sim(&bc, RunConfig::default(), &Godot);
-        assert_eq!(report.interrupted, Some(Interrupt::Deadlock));
-        assert!(report
-            .outcomes
-            .iter()
-            .all(|o| *o == AgentOutcome::Interrupted(Interrupt::Deadlock)));
+        table::deadlock_is_detected_on(Engine::Sim);
     }
 
     #[test]
     fn step_limit_interrupts_livelock() {
-        #[derive(Clone)]
-        struct Forever;
-        impl Protocol for Forever {
-            async fn run_async<C: MobileCtxAsync>(
-                &self,
-                ctx: &mut C,
-            ) -> Result<AgentOutcome, Interrupt> {
-                loop {
-                    ctx.move_via(LocalPort(0)).await?;
-                }
-            }
-        }
-        let bc = instance(4, &[0]);
-        let cfg = RunConfig {
-            max_steps: 100,
-            ..RunConfig::default()
-        };
-        let report = run_sim(&bc, cfg, &Forever);
-        assert_eq!(report.interrupted, Some(Interrupt::StepLimit));
+        table::step_limit_interrupts_livelock_on(Engine::Sim);
     }
 
     #[test]
     fn wait_wakes_on_board_change() {
-        // Both agents walk to the unmarked shared node of C3; whiteboard
-        // arbitration there picks a winner. The loser parks in
-        // wait_until; the winner wanders a hop and comes back to post
-        // the wake sign — a genuine park-then-wake under sim.
-        #[derive(Clone)]
-        struct WaitOrWake;
-        impl Protocol for WaitOrWake {
-            async fn run_async<C: MobileCtxAsync>(
-                &self,
-                ctx: &mut C,
-            ) -> Result<AgentOutcome, Interrupt> {
-                // Walk forward (never back through the entry port) to
-                // the node with no HomeBase sign.
-                loop {
-                    let board = ctx.read_board().await?;
-                    if !board.iter().any(|s| s.kind == SignKind::HomeBase) {
-                        break;
-                    }
-                    let entry = ctx.entry();
-                    let fwd = ctx
-                        .ports()
-                        .into_iter()
-                        .find(|&p| Some(p) != entry)
-                        .expect("degree 2");
-                    ctx.move_via(fwd).await?;
-                }
-                let won = ctx
-                    .with_board(|wb| {
-                        if wb.find_kind(SignKind::Custom(9)).is_none() {
-                            wb.post(Sign::tag(Color::from_nonce(0), SignKind::Custom(9)));
-                            true
-                        } else {
-                            false
-                        }
-                    })
-                    .await?;
-                if won {
-                    let out = ctx.entry().expect("arrived through a port");
-                    ctx.move_via(out).await?;
-                    let back = ctx.entry().expect("entry set after move");
-                    ctx.move_via(back).await?;
-                    ctx.with_board(|wb| {
-                        wb.post(Sign::tag(Color::from_nonce(1), SignKind::Custom(7)))
-                    })
-                    .await?;
-                    Ok(AgentOutcome::Leader)
-                } else {
-                    ctx.wait_until(|wb| wb.find_kind(SignKind::Custom(7)).is_some())
-                        .await?;
-                    Ok(AgentOutcome::Defeated)
-                }
-            }
-        }
-        let bc = instance(3, &[0, 1]);
-        for seed in 0..5 {
-            let cfg = RunConfig {
-                seed,
-                ..RunConfig::default()
-            };
-            let report = run_sim(&bc, cfg, &WaitOrWake);
-            assert!(
-                report.clean_election(),
-                "seed {seed}: {:?}",
-                report.outcomes
-            );
-            assert!(report.metrics.total_waits() >= 1);
-        }
+        table::wait_wakes_on_board_change_on(Engine::Sim);
     }
 
     #[test]
     fn deterministic_given_seed_and_policy() {
-        let bc = instance(6, &[0, 3]);
-        let run_once = |seed| {
-            let cfg = RunConfig {
-                seed,
-                record_trace: true,
-                ..RunConfig::default()
-            };
-            let rep = run_sim(&bc, cfg, &Walker { hops: 10 });
-            (rep.metrics.per_agent.clone(), rep.trace.clone())
-        };
-        assert_eq!(run_once(11), run_once(11));
+        table::deterministic_given_seed_and_policy_on(Engine::Sim);
     }
 
     #[test]
     fn crash_restarts_at_home_with_volatile_state_lost() {
-        let bc = instance(6, &[0]);
-        let plan = FaultPlan {
-            events: vec![FaultEvent {
-                agent: 0,
-                at_op: 2,
-                action: FaultAction::Crash { restart_after: 1 },
-            }],
-            recovery: RecoveryPolicy::default(),
-        };
-        #[derive(Clone)]
-        struct TwoHopsThenPost;
-        impl Protocol for TwoHopsThenPost {
-            async fn run_async<C: MobileCtxAsync>(
-                &self,
-                ctx: &mut C,
-            ) -> Result<AgentOutcome, Interrupt> {
-                assert_eq!(ctx.entry(), None, "restart must clear the entry port");
-                ctx.move_via(LocalPort(0)).await?;
-                ctx.move_via(LocalPort(0)).await?;
-                ctx.with_board(|wb| wb.post(Sign::tag(Color::from_nonce(7), SignKind::Visited)))
-                    .await?;
-                Ok(AgentOutcome::Leader)
-            }
-        }
-        let report = run_sim_faulty(&bc, RunConfig::default(), &plan, &TwoHopsThenPost).unwrap();
-        assert_eq!(report.outcomes, vec![AgentOutcome::Leader]);
-        assert_eq!(report.metrics.faults.crashes, 1);
-        assert_eq!(report.metrics.faults.restarts, 1);
-        assert!(report.metrics.faults.backoff_ticks >= 1);
-        // The lost move means the restart walks the full two hops again.
-        assert_eq!(report.metrics.total_moves(), 3);
+        table::crash_restarts_at_home_with_volatile_state_lost_on(Engine::Sim);
     }
 
     #[test]
     fn sim_matches_gated_byte_for_byte_on_a_fixed_walk() {
         // The in-crate differential smoke (the full proptest suite lives
-        // in the workspace tests): same instance, seed, policy and
-        // protocol on both engines ⇒ identical traces, events, metrics.
+        // in the workspace tests): `conform` asserts that the two
+        // engines' fingerprints (outcomes, traces, events, metrics)
+        // agree.
         let bc = instance(6, &[0, 3]);
         for seed in [0u64, 5, 21] {
-            let cfg = UnifiedConfig::new(seed)
-                .engine(Engine::Gated)
-                .record_trace(true);
-            let gated = run(&bc, &cfg, &Walker { hops: 12 }).unwrap();
-            let sim = run(&bc, &cfg.clone().engine(Engine::Sim), &Walker { hops: 12 }).unwrap();
-            assert_eq!(sim.report.outcomes, gated.report.outcomes);
-            assert_eq!(sim.report.trace, gated.report.trace, "seed {seed}");
-            assert_eq!(sim.report.events, gated.report.events, "seed {seed}");
-            assert_eq!(sim.report.metrics.per_agent, gated.report.metrics.per_agent);
-            assert_eq!(sim.report.metrics.steps, gated.report.metrics.steps);
+            conform(&bc, &traced(seed), &Walker { hops: 12 });
         }
-    }
-
-    #[test]
-    fn sync_protocols_still_run_on_sim_via_the_async_default() {
-        // A protocol written against the *blocking* trait only: the
-        // provided `run` adapter is its author's view, but `run_async`
-        // is what sim executes — this pins that hand-written sync impls
-        // (pre-PR-6 style, now expressed via run_async + SyncCtx) work.
-        #[derive(Clone)]
-        struct SyncStyle;
-        impl Protocol for SyncStyle {
-            async fn run_async<C: MobileCtxAsync>(
-                &self,
-                ctx: &mut C,
-            ) -> Result<AgentOutcome, Interrupt> {
-                sync_body_async(ctx).await
-            }
-        }
-        async fn sync_body_async<C: MobileCtxAsync>(
-            ctx: &mut C,
-        ) -> Result<AgentOutcome, Interrupt> {
-            let board = ctx.read_board().await?;
-            assert!(!board.is_empty());
-            Ok(AgentOutcome::Leader)
-        }
-        // And the inverse direction: the sync adapter drives the async
-        // body through a blocking MobileCtx.
-        fn sync_entry<C: MobileCtx>(ctx: &mut C) -> Result<AgentOutcome, Interrupt> {
-            SyncStyle.run(ctx)
-        }
-        let bc = instance(5, &[2]);
-        let report = run_sim(&bc, RunConfig::default(), &SyncStyle);
-        assert_eq!(report.outcomes, vec![AgentOutcome::Leader]);
-        let agents: Vec<crate::gated::GatedAgent> = vec![Box::new(sync_entry)];
-        let gated =
-            crate::gated::run_gated_faulty(&bc, RunConfig::default(), &FaultPlan::none(), agents)
-                .unwrap();
-        assert_eq!(gated.outcomes, vec![AgentOutcome::Leader]);
     }
 }

@@ -8,13 +8,14 @@
 //! local whiteboard atomically and decides to move, stay (park until the
 //! node sees traffic), or finish.
 //!
-//! [`drive`] runs a `StepAgent` on any [`MobileCtx`] engine, so the same
-//! machine executes both natively (mobile runtime) and transformed
-//! ([`crate::message_net`]); the integration suite checks the outcomes
-//! coincide — an executable reading of Fig. 1.
+//! [`drive`] runs a `StepAgent` against any [`MobileCtxAsync`], so the
+//! same machine executes both natively (inside a
+//! [`Protocol`](crate::run::Protocol) body, on either engine) and
+//! transformed ([`crate::message_net`]); the integration suite checks
+//! the outcomes coincide — an executable reading of Fig. 1.
 
 use crate::color::Color;
-use crate::ctx::{AgentOutcome, Interrupt, LocalPort, MobileCtx};
+use crate::ctx::{AgentOutcome, Interrupt, LocalPort, MobileCtxAsync};
 use crate::whiteboard::Whiteboard;
 
 /// What an activation decides.
@@ -47,8 +48,9 @@ pub trait StepAgent: Send {
     fn step(&mut self, env: &mut StepEnv<'_>) -> StepAction;
 }
 
-/// Drive a [`StepAgent`] on a [`MobileCtx`] engine until it finishes.
-pub fn drive<C: MobileCtx>(
+/// Drive a [`StepAgent`] through a [`MobileCtxAsync`] until it
+/// finishes: one atomic whiteboard access per activation.
+pub async fn drive<C: MobileCtxAsync>(
     agent: &mut dyn StepAgent,
     ctx: &mut C,
 ) -> Result<AgentOutcome, Interrupt> {
@@ -56,19 +58,21 @@ pub fn drive<C: MobileCtx>(
         let degree = ctx.degree();
         let entry = ctx.entry();
         let color = ctx.color();
-        let (action, version) = ctx.with_board(|wb| {
-            let mut env = StepEnv {
-                color,
-                degree,
-                entry,
-                board: wb,
-            };
-            let action = agent.step(&mut env);
-            (action, wb.version())
-        })?;
+        let (action, version) = ctx
+            .with_board(|wb| {
+                let mut env = StepEnv {
+                    color,
+                    degree,
+                    entry,
+                    board: wb,
+                };
+                let action = agent.step(&mut env);
+                (action, wb.version())
+            })
+            .await?;
         match action {
-            StepAction::Move(p) => ctx.move_via(p)?,
-            StepAction::Stay => ctx.wait_until(move |wb| wb.version() > version)?,
+            StepAction::Move(p) => ctx.move_via(p).await?,
+            StepAction::Stay => ctx.wait_until(move |wb| wb.version() > version).await?,
             StepAction::Finish(outcome) => return Ok(outcome),
         }
     }
@@ -77,10 +81,34 @@ pub fn drive<C: MobileCtx>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gated::{run_gated_faulty, GatedAgent, RunConfig};
+    use crate::gated::tests::{conform, traced};
+    use crate::run::Protocol;
     use crate::sign::{Sign, SignKind};
-    use crate::FaultPlan;
+    use crate::RunReport;
     use qelect_graph::{families, Bicolored};
+
+    /// Run agent `i` as `machine(i)` on both engines (the reports must
+    /// agree) and return the gated one.
+    fn run_machines(bc: &Bicolored, machine: fn(usize) -> Box<dyn StepAgent>) -> RunReport {
+        #[derive(Clone)]
+        struct Machines {
+            machine: fn(usize) -> Box<dyn StepAgent>,
+            agent: usize,
+        }
+        impl Protocol for Machines {
+            async fn run_async<C: MobileCtxAsync>(
+                &self,
+                ctx: &mut C,
+            ) -> Result<AgentOutcome, Interrupt> {
+                drive((self.machine)(self.agent).as_mut(), ctx).await
+            }
+
+            fn for_agent(&self, agent: usize) -> Self {
+                Machines { agent, ..*self }
+            }
+        }
+        conform(bc, &traced(0), &Machines { machine, agent: 0 })
+    }
 
     /// Walks `budget` hops always through local port 0, then finishes.
     struct Walker {
@@ -101,12 +129,7 @@ mod tests {
     #[test]
     fn walker_on_gated_engine() {
         let bc = Bicolored::new(families::cycle(5).unwrap(), &[0]).unwrap();
-        let program: GatedAgent = Box::new(|ctx| {
-            let mut agent = Walker { budget: 7 };
-            drive(&mut agent, ctx)
-        });
-        let report = run_gated_faulty(&bc, RunConfig::default(), &FaultPlan::none(), vec![program])
-            .expect("gated run failed");
+        let report = run_machines(&bc, |_| Box::new(Walker { budget: 7 }));
         assert_eq!(report.outcomes, vec![AgentOutcome::Defeated]);
         assert_eq!(report.metrics.total_moves(), 7);
     }
@@ -149,15 +172,10 @@ mod tests {
     #[test]
     fn stay_parks_until_board_changes() {
         let bc = Bicolored::new(families::cycle(4).unwrap(), &[0, 2]).unwrap();
-        let sleeper: GatedAgent = Box::new(|ctx| drive(&mut Sleeper, ctx));
-        let announcer: GatedAgent = Box::new(|ctx| drive(&mut Announcer { remaining: 4 }, ctx));
-        let report = run_gated_faulty(
-            &bc,
-            RunConfig::default(),
-            &FaultPlan::none(),
-            vec![sleeper, announcer],
-        )
-        .expect("gated run failed");
+        let report = run_machines(&bc, |agent| match agent {
+            0 => Box::new(Sleeper),
+            _ => Box::new(Announcer { remaining: 4 }),
+        });
         assert!(report.clean_election(), "{:?}", report.outcomes);
     }
 }

@@ -4,23 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qelect::prelude::*;
-// These benches time the gated-engine drivers directly, so they use
-// the gated engine's own config struct.
-use qelect_agentsim::gated::RunConfig;
 use qelect_graph::{families, Bicolored};
-
-/// Crash-free ELECT through the non-deprecated typed entry (shadows the
-/// deprecated `run_elect` shim re-exported by the prelude glob).
-fn run_elect(bc: &Bicolored, cfg: RunConfig) -> RunReport {
-    use qelect::elect::{elect_agents, ElectFault};
-    qelect_agentsim::gated::run_gated_faulty(
-        bc,
-        cfg,
-        &FaultPlan::none(),
-        elect_agents(bc.r(), ElectFault::default()),
-    )
-    .expect("gated run failed")
-}
 
 fn bench_elect_cycles(c: &mut Criterion) {
     let mut group = c.benchmark_group("elect/cycle");
@@ -28,7 +12,7 @@ fn bench_elect_cycles(c: &mut Criterion) {
         let bc = Bicolored::new(families::cycle(n).unwrap(), &[0, 1, 3]).unwrap();
         group.bench_with_input(BenchmarkId::from_parameter(n), &bc, |b, bc| {
             b.iter(|| {
-                let report = run_elect(bc, RunConfig::default());
+                let report = run_election(bc, &RunConfig::default()).unwrap().report;
                 assert!(report.clean_election());
                 report.metrics.total_work()
             })
@@ -56,7 +40,7 @@ fn bench_elect_families(c: &mut Criterion) {
     for (label, bc) in cases {
         group.bench_with_input(BenchmarkId::from_parameter(label), &bc, |b, bc| {
             b.iter(|| {
-                let report = run_elect(bc, RunConfig::default());
+                let report = run_election(bc, &RunConfig::default()).unwrap().report;
                 assert!(report.interrupted.is_none());
                 report.metrics.total_work()
             })
@@ -71,7 +55,7 @@ fn bench_quantitative_baseline(c: &mut Criterion) {
         let bc = Bicolored::new(families::cycle(n).unwrap(), &[0, 1, 3]).unwrap();
         group.bench_with_input(BenchmarkId::from_parameter(n), &bc, |b, bc| {
             b.iter(|| {
-                let cfg = qelect_agentsim::RunConfig::default().engine(Engine::Gated);
+                let cfg = RunConfig::default();
                 let protocol = QuantitativeProtocol::new(&[5, 9, 2]).unwrap();
                 let report = qelect_agentsim::run(bc, &cfg, &protocol).unwrap().report;
                 assert!(report.clean_election());

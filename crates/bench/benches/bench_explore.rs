@@ -5,23 +5,10 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qelect::prelude::*;
-// The recording/replay/exploration drivers are gated-engine specific,
-// so these benches use the gated engine's own config struct.
-use qelect_agentsim::gated::RunConfig;
+// The recording, replay and exploration drivers take the engine-level
+// config slice.
+use qelect_agentsim::gated;
 use qelect_graph::{families, Bicolored};
-
-/// Crash-free ELECT through the non-deprecated typed entry (shadows the
-/// deprecated `run_elect` shim re-exported by the prelude glob).
-fn run_elect(bc: &Bicolored, cfg: RunConfig) -> RunReport {
-    use qelect::elect::{elect_agents, ElectFault};
-    qelect_agentsim::gated::run_gated_faulty(
-        bc,
-        cfg,
-        &FaultPlan::none(),
-        elect_agents(bc.r(), ElectFault::default()),
-    )
-    .expect("gated run failed")
-}
 
 fn bench_recording_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("explore/recording-overhead");
@@ -32,12 +19,9 @@ fn bench_recording_overhead(c: &mut Criterion) {
             &bc,
             |b, bc| {
                 b.iter(|| {
-                    let cfg = RunConfig {
-                        seed: 1,
-                        record_trace: record,
-                        ..RunConfig::default()
-                    };
-                    let report = run_elect(bc, cfg);
+                    let report = run_election(bc, &RunConfig::new(1).record_trace(record))
+                        .unwrap()
+                        .report;
                     assert!(report.clean_election());
                     report.metrics.steps
                 })
@@ -50,9 +34,9 @@ fn bench_recording_overhead(c: &mut Criterion) {
 fn bench_strict_replay(c: &mut Criterion) {
     let mut group = c.benchmark_group("explore/strict-replay");
     let bc = Bicolored::new(families::cycle(8).unwrap(), &[0, 1, 3]).unwrap();
-    let cfg = RunConfig {
+    let cfg = gated::RunConfig {
         seed: 1,
-        ..RunConfig::default()
+        ..gated::RunConfig::default()
     };
     let (original, trace) = run_elect_recorded(&bc, cfg, "bench witness");
     assert!(original.clean_election());
@@ -79,9 +63,9 @@ fn bench_bounded_exploration(c: &mut Criterion) {
                     swarm_seed: 1,
                     ..ExploreConfig::default()
                 };
-                let cfg = RunConfig {
+                let cfg = gated::RunConfig {
                     seed: 1,
-                    ..RunConfig::default()
+                    ..gated::RunConfig::default()
                 };
                 let report = explore_elect(bc, cfg, &ecfg);
                 assert!(report.passed());

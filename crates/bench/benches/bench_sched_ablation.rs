@@ -4,24 +4,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qelect::prelude::*;
-// Policy ablation drives the gated engine directly, so this bench
-// uses the gated engine's own config struct.
-use qelect_agentsim::gated::RunConfig;
 use qelect_agentsim::sched::Policy;
 use qelect_graph::{families, Bicolored};
-
-/// Crash-free ELECT through the non-deprecated typed entry (shadows the
-/// deprecated `run_elect` shim re-exported by the prelude glob).
-fn run_elect(bc: &Bicolored, cfg: RunConfig) -> RunReport {
-    use qelect::elect::{elect_agents, ElectFault};
-    qelect_agentsim::gated::run_gated_faulty(
-        bc,
-        cfg,
-        &FaultPlan::none(),
-        elect_agents(bc.r(), ElectFault::default()),
-    )
-    .expect("gated run failed")
-}
 
 fn bench_policies(c: &mut Criterion) {
     let mut group = c.benchmark_group("sched/elect-policies");
@@ -37,11 +21,9 @@ fn bench_policies(c: &mut Criterion) {
             &bc,
             |b, bc| {
                 b.iter(|| {
-                    let cfg = RunConfig {
-                        policy,
-                        ..RunConfig::default()
-                    };
-                    let report = run_elect(bc, cfg);
+                    let report = run_election(bc, &RunConfig::default().policy(policy))
+                        .unwrap()
+                        .report;
                     assert!(report.clean_election());
                     report.metrics.steps
                 })
@@ -60,11 +42,9 @@ fn bench_port_scrambling(c: &mut Criterion) {
             &bc,
             |b, bc| {
                 b.iter(|| {
-                    let cfg = RunConfig {
-                        scramble_ports: scramble,
-                        ..RunConfig::default()
-                    };
-                    let report = run_elect(bc, cfg);
+                    let report = run_election(bc, &RunConfig::default().scramble_ports(scramble))
+                        .unwrap()
+                        .report;
                     assert!(report.clean_election());
                     report.metrics.total_work()
                 })

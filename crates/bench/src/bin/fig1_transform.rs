@@ -6,18 +6,11 @@
 //! runtime) and transformed (processor network); the elected agent must
 //! coincide, and the message counts quantify the transformation.
 
-use qelect::stepquant::QuantMachine;
-use qelect_agentsim::gated::{run_gated_faulty, GatedAgent, RunConfig, RunReport};
+use qelect::stepquant::{QuantMachine, QuantMachineProtocol};
 use qelect_agentsim::message_net::MessageNet;
-use qelect_agentsim::stepagent::{drive, StepAgent};
-use qelect_agentsim::FaultPlan;
+use qelect_agentsim::stepagent::StepAgent;
+use qelect_agentsim::RunConfig;
 use qelect_bench::{header, row, standard_suite};
-use qelect_graph::Bicolored;
-
-/// Crash-free run through the non-deprecated typed entry.
-fn run_gated(bc: &Bicolored, cfg: RunConfig, agents: Vec<GatedAgent>) -> RunReport {
-    run_gated_faulty(bc, cfg, &FaultPlan::none(), agents).expect("gated run failed")
-}
 
 fn main() {
     println!("# Figure 1 — mobile agents as messages\n");
@@ -39,13 +32,10 @@ fn main() {
         let bc = &inst.bc;
         let ids: Vec<u64> = (0..bc.r() as u64).map(|i| 3 + 5 * i).collect();
 
-        let agents: Vec<GatedAgent> = ids
-            .iter()
-            .map(|&id| -> GatedAgent {
-                Box::new(move |ctx| drive(&mut QuantMachine::new(id), ctx))
-            })
-            .collect();
-        let native = run_gated(bc, RunConfig::default(), agents);
+        let native =
+            qelect_agentsim::run(bc, &RunConfig::default(), &QuantMachineProtocol::new(&ids))
+                .expect("native run failed")
+                .report;
 
         let machines: Vec<Box<dyn StepAgent>> = ids
             .iter()

@@ -11,31 +11,24 @@
 //! * the paper's open cell (qualitative × effectual-arbitrary) prints
 //!   `?` together with the Petersen divergence evidence.
 
-use qelect::anonymous::run_ring_probe;
+use qelect::anonymous::RingProbeProtocol;
 use qelect::petersen::PetersenProtocol;
 use qelect::prelude::*;
 use qelect::solvability::{elect_succeeds, election_possible_cayley, impossible_by_thm21};
-// The ELECT-family cells run through gated-only helpers, so this is the
-// gated config; the quantitative and bespoke Petersen rows go through
-// `qelect_agentsim::run` (sim engine).
-use qelect_agentsim::gated::RunConfig;
 use qelect_agentsim::sched::Policy;
-use qelect_agentsim::AgentOutcome;
 use qelect_bench::{header, row, standard_suite};
 use qelect_graph::{families, Bicolored};
 use qelect_group::recognition::RecognitionBudget;
 
-/// Crash-free ELECT through the non-deprecated typed entry (shadows the
-/// deprecated `run_elect` shim re-exported by the prelude glob).
-fn run_elect(bc: &Bicolored, cfg: RunConfig) -> RunReport {
-    use qelect::elect::{elect_agents, ElectFault};
-    qelect_agentsim::gated::run_gated_faulty(
-        bc,
-        cfg,
-        &FaultPlan::none(),
-        elect_agents(bc.r(), ElectFault::default()),
-    )
-    .expect("gated run failed")
+/// One run of `protocol` on the default (sim) engine.
+fn run<P: Protocol + Clone + Send + 'static>(
+    bc: &Bicolored,
+    cfg: &RunConfig,
+    protocol: &P,
+) -> RunReport {
+    qelect_agentsim::run(bc, cfg, protocol)
+        .expect("run failed")
+        .report
 }
 
 fn main() {
@@ -43,11 +36,11 @@ fn main() {
 
     // ---- Anonymous agents: the §1.3 counterexample ----
     let c6 = Bicolored::new(families::cycle(6).unwrap(), &[0, 3]).unwrap();
-    let cfg = RunConfig {
-        policy: Policy::Lockstep,
-        ..RunConfig::default()
-    };
-    let anon = run_ring_probe(&c6, cfg);
+    let anon = run(
+        &c6,
+        &RunConfig::default().policy(Policy::Lockstep),
+        &RingProbeProtocol,
+    );
     let anon_leaders = anon
         .outcomes
         .iter()
@@ -67,7 +60,7 @@ fn main() {
     // ---- Qualitative: K2 kills universality ----
     let k2 = Bicolored::new(families::complete(2).unwrap(), &[0, 1]).unwrap();
     let k2_impossible = impossible_by_thm21(&k2, 1000) == Some(true);
-    let k2_elect = run_elect(&k2, RunConfig::default());
+    let k2_elect = run(&k2, &RunConfig::default(), &ElectProtocol::default());
     println!(
         "qualitative agents, K2 pair: Thm 2.1 impossible = {}, ELECT verdict = {}",
         k2_impossible,
@@ -88,7 +81,7 @@ fn main() {
             for bc in Bicolored::all_placements(&g, r) {
                 cayley_total += 1;
                 let oracle = election_possible_cayley(&bc, RecognitionBudget::default());
-                let report = run_translation_elect(&bc, RunConfig::default());
+                let report = run(&bc, &RunConfig::default(), &TranslationElectProtocol);
                 match oracle {
                     Some(true) if report.clean_election() => cayley_agree += 1,
                     Some(false) if report.unanimous_unsolvable() => cayley_agree += 1,
@@ -109,9 +102,7 @@ fn main() {
     for inst in &suite {
         let ids: Vec<u64> = (0..inst.bc.r() as u64).map(|i| 10 + i).collect();
         let protocol = QuantitativeProtocol::new(&ids).expect("distinct labels");
-        let report = qelect_agentsim::run(&inst.bc, &Default::default(), &protocol)
-            .expect("quantitative run failed")
-            .report;
+        let report = run(&inst.bc, &RunConfig::default(), &protocol);
         if report.clean_election() {
             quant_ok += 1;
         }
@@ -124,10 +115,8 @@ fn main() {
 
     // ---- Petersen divergence for the open cell ----
     let pet = Bicolored::new(families::petersen().unwrap(), &[0, 1]).unwrap();
-    let pet_elect = run_elect(&pet, RunConfig::default());
-    let pet_bespoke = qelect_agentsim::run(&pet, &Default::default(), &PetersenProtocol)
-        .expect("petersen run failed")
-        .report;
+    let pet_elect = run(&pet, &RunConfig::default(), &ElectProtocol::default());
+    let pet_bespoke = run(&pet, &RunConfig::default(), &PetersenProtocol);
     println!(
         "qualitative agents, Petersen pair: ELECT {}, bespoke protocol {} (ELECT not effectual \
          on arbitrary graphs; existence of an effectual protocol was the paper's Open Problem 1)",

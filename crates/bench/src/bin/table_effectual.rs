@@ -62,7 +62,13 @@ fn sweep(g: &Graph, max_r: usize, run_protocol: bool) -> SweepResult {
                 None => res.gray_zone += 1,
                 Some(expected) => {
                     if run_protocol {
-                        let report = run_translation_elect(&bc, RunConfig::default().to_gated());
+                        let report = qelect_agentsim::run(
+                            &bc,
+                            &RunConfig::default(),
+                            &TranslationElectProtocol,
+                        )
+                        .expect("run failed")
+                        .report;
                         let got = if report.clean_election() {
                             Some(true)
                         } else if report.unanimous_unsolvable() {

@@ -6,23 +6,8 @@
 //! checkpoints) is printed for one instance.
 
 use qelect::prelude::*;
-// The cost tables drive gated-only helpers; use the gated config.
-use qelect_agentsim::gated::RunConfig;
 use qelect_bench::{header, row, scaling_suite};
 use qelect_graph::{families, Bicolored};
-
-/// Crash-free ELECT through the non-deprecated typed entry (shadows the
-/// deprecated `run_elect` shim re-exported by the prelude glob).
-fn run_elect(bc: &Bicolored, cfg: RunConfig) -> RunReport {
-    use qelect::elect::{elect_agents, ElectFault};
-    qelect_agentsim::gated::run_gated_faulty(
-        bc,
-        cfg,
-        &FaultPlan::none(),
-        elect_agents(bc.r(), ElectFault::default()),
-    )
-    .expect("gated run failed")
-}
 
 fn main() {
     println!("# Theorem 3.1 — measured cost of protocol ELECT\n");
@@ -43,7 +28,7 @@ fn main() {
     let mut ratios: Vec<f64> = Vec::new();
     for inst in scaling_suite() {
         let bc = &inst.bc;
-        let report = run_elect(bc, RunConfig::default());
+        let report = run_election(bc, &RunConfig::default()).unwrap().report;
         assert!(
             report.interrupted.is_none(),
             "{}: interrupted {:?}",
@@ -77,7 +62,7 @@ fn main() {
 
     // Per-phase breakdown on one instance.
     let bc = Bicolored::new(families::cycle(12).unwrap(), &[0, 1, 3]).unwrap();
-    let report = run_elect(&bc, RunConfig::default());
+    let report = run_election(&bc, &RunConfig::default()).unwrap().report;
     println!("\n## Phase breakdown (C12, r = 3, agent 0 checkpoints)\n");
     println!(
         "{}",
@@ -104,7 +89,7 @@ fn main() {
     );
     for inst in scaling_suite() {
         let bc = &inst.bc;
-        let e = run_elect(bc, RunConfig::default());
+        let e = run_election(bc, &RunConfig::default()).unwrap().report;
         if e.interrupted.is_some() || !e.clean_election() {
             continue; // compare on solvable instances only
         }

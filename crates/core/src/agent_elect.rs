@@ -27,13 +27,7 @@
 //! decision is a pure function of the redrawn map.
 
 use crate::mapdraw::map_drawing_async;
-use qelect_agentsim::{poll_now, AgentOutcome, Interrupt, MobileCtx, MobileCtxAsync, SyncCtx};
-
-/// Blocking adapter over [`agent_elect_async`] (kept as a plain `fn` so
-/// it coerces into a `GatedAgent` closure).
-pub fn agent_elect<C: MobileCtx>(ctx: &mut C) -> Result<AgentOutcome, Interrupt> {
-    poll_now(agent_elect_async(&mut SyncCtx(ctx)))
-}
+use qelect_agentsim::{AgentOutcome, Interrupt, MobileCtxAsync};
 
 /// The labeled-agent election, written once over [`MobileCtxAsync`]:
 /// draw the map, compare every home-base color's nonce, and let the
@@ -56,7 +50,7 @@ pub async fn agent_elect_async<C: MobileCtxAsync>(ctx: &mut C) -> Result<AgentOu
     })
 }
 
-/// [`agent_elect`] as a [`Protocol`](qelect_agentsim::Protocol) for the
+/// [`agent_elect_async`] as a [`Protocol`](qelect_agentsim::Protocol) for the
 /// unified engine front door (wire name `agent-elect` in the registry).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AgentElectProtocol;

@@ -10,30 +10,22 @@
 //!   in the same state forever, so no protocol can elect.
 //!
 //! An agent behaves identically in both, so any protocol that elects on
-//! `G₁` misbehaves on `G₂`. [`ring_probe`] is such a protocol: it walks
+//! `G₁` misbehaves on `G₂`. [`ring_probe_async`] is such a protocol: it walks
 //! forward dropping its (shared-color) marks and concludes "I am alone
 //! on a ring of length L" when it first re-encounters a mark. On `C₃`
 //! alone that is correct; on `C₆` with a lockstep twin, each agent finds
 //! the *other's* indistinguishable mark after 3 hops and both declare
 //! themselves leader — the protocol violation the theory predicts.
 
-use qelect_agentsim::gated::{run_gated_faulty, GatedAgent, RunConfig, RunReport};
-use qelect_agentsim::FaultPlan;
+use qelect_agentsim::sched::Policy;
 use qelect_agentsim::{
-    poll_now, AgentOutcome, ColorRegistry, Interrupt, MobileCtx, MobileCtxAsync, Sign, SignKind,
-    SyncCtx,
+    run, AgentOutcome, ColorRegistry, Engine, Interrupt, MobileCtxAsync, Protocol, RunConfig, Sign,
+    SignKind,
 };
 use qelect_graph::Bicolored;
 
 /// The mark an anonymous ring-prober drops.
 pub const PROBE_MARK: SignKind = SignKind::Custom(11);
-
-/// A plausible anonymous election protocol for rings (blocking adapter
-/// over [`ring_probe_async`]; kept as a plain `fn` so it still coerces
-/// into a [`GatedAgent`] closure).
-pub fn ring_probe<C: MobileCtx>(ctx: &mut C) -> Result<AgentOutcome, Interrupt> {
-    poll_now(ring_probe_async(&mut SyncCtx(ctx)))
-}
 
 /// A plausible anonymous election protocol for rings: drop a mark, walk
 /// forward (never back through the entry port), and claim leadership
@@ -63,30 +55,18 @@ pub async fn ring_probe_async<C: MobileCtxAsync>(ctx: &mut C) -> Result<AgentOut
     }
 }
 
-/// [`ring_probe`] as a [`Protocol`](qelect_agentsim::Protocol) for the
-/// unified engine front door — how the committed §1.3 counterexample
-/// trace is replayed on the simulator engine.
+/// [`ring_probe_async`] as a [`Protocol`] for the unified engine front
+/// door. Agents run it with **anonymous** marks: the probe never
+/// compares colors, so distinctness of the runtime colors is immaterial
+/// — what matters is that the *marks* are indistinguishable, which
+/// [`PROBE_MARK`] tags achieve (the paper's "anonymous" row in Table 1).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RingProbeProtocol;
 
-impl qelect_agentsim::Protocol for RingProbeProtocol {
+impl Protocol for RingProbeProtocol {
     async fn run_async<C: MobileCtxAsync>(&self, ctx: &mut C) -> Result<AgentOutcome, Interrupt> {
         ring_probe_async(ctx).await
     }
-}
-
-/// Run a protocol with **anonymous** agents: every agent carries the
-/// same color (the model of the paper's "anonymous" row in Table 1).
-/// Implemented as a thin wrapper that pre-empts the runtime's distinct
-/// colors by the shared-color convention at the whiteboard level: the
-/// probing protocol above never compares colors, so distinctness of the
-/// runtime colors is immaterial — what matters is that the *marks* are
-/// indistinguishable, which `PROBE_MARK` tags achieve.
-pub fn run_ring_probe(bc: &Bicolored, cfg: RunConfig) -> RunReport {
-    let agents: Vec<GatedAgent> = (0..bc.r())
-        .map(|_| -> GatedAgent { Box::new(ring_probe) })
-        .collect();
-    run_gated_faulty(bc, cfg, &FaultPlan::none(), agents).expect("gated run failed")
 }
 
 /// The shared color anonymous demos use for illustration.
@@ -113,13 +93,14 @@ pub fn ring_probe_counterexample(n: usize) -> (Bicolored, qelect_agentsim::Trace
         &[0, n / 2],
     )
     .expect("antipodal home-bases are valid");
-    let cfg = RunConfig {
-        seed: 0,
-        policy: qelect_agentsim::sched::Policy::Lockstep,
-        record_trace: true,
-        ..RunConfig::default()
-    };
-    let report = run_ring_probe(&bc, cfg);
+    // Recorded on the gated oracle, as the committed corpus always was.
+    let cfg = RunConfig::new(0)
+        .engine(Engine::Gated)
+        .policy(Policy::Lockstep)
+        .record_trace(true);
+    let report = run(&bc, &cfg, &RingProbeProtocol)
+        .expect("the ring probe runs on a cycle")
+        .report;
     let leaders = report
         .outcomes
         .iter()
@@ -137,13 +118,17 @@ pub fn ring_probe_counterexample(n: usize) -> (Bicolored, qelect_agentsim::Trace
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qelect_agentsim::sched::Policy;
+    use qelect_agentsim::RunReport;
     use qelect_graph::families;
+
+    fn probe(bc: &Bicolored, cfg: &RunConfig) -> RunReport {
+        run(bc, cfg, &RingProbeProtocol).expect("run failed").report
+    }
 
     #[test]
     fn lone_agent_on_c3_elects_correctly() {
         let bc = Bicolored::new(families::cycle(3).unwrap(), &[0]).unwrap();
-        let report = run_ring_probe(&bc, RunConfig::default());
+        let report = probe(&bc, &RunConfig::default());
         assert_eq!(report.outcomes, vec![AgentOutcome::Leader]);
         assert!(report.clean_election());
     }
@@ -154,11 +139,7 @@ mod tests {
         // finds the other's indistinguishable mark, and both elect
         // themselves — two leaders, protocol violated.
         let bc = Bicolored::new(families::cycle(6).unwrap(), &[0, 3]).unwrap();
-        let cfg = RunConfig {
-            policy: Policy::Lockstep,
-            ..RunConfig::default()
-        };
-        let report = run_ring_probe(&bc, cfg);
+        let report = probe(&bc, &RunConfig::default().policy(Policy::Lockstep));
         let leaders = report
             .outcomes
             .iter()
@@ -176,11 +157,7 @@ mod tests {
     fn violation_shows_under_many_symmetric_lengths() {
         for n in [4usize, 6, 8, 10] {
             let bc = Bicolored::new(families::cycle(n).unwrap(), &[0, n / 2]).unwrap();
-            let cfg = RunConfig {
-                policy: Policy::Lockstep,
-                ..RunConfig::default()
-            };
-            let report = run_ring_probe(&bc, cfg);
+            let report = probe(&bc, &RunConfig::default().policy(Policy::Lockstep));
             let leaders = report
                 .outcomes
                 .iter()
@@ -207,7 +184,7 @@ mod tests {
     #[test]
     fn lone_agent_walk_length_matches_ring_size() {
         let bc = Bicolored::new(families::cycle(5).unwrap(), &[1]).unwrap();
-        let report = run_ring_probe(&bc, RunConfig::default());
+        let report = probe(&bc, &RunConfig::default());
         assert_eq!(report.metrics.total_moves(), 5, "one full circuit");
     }
 }

@@ -34,7 +34,7 @@
 //! the redrawn map — so a restarted incarnation simply recomputes.
 
 use crate::mapdraw::map_drawing_async;
-use qelect_agentsim::{poll_now, AgentOutcome, Interrupt, MobileCtx, MobileCtxAsync, SyncCtx};
+use qelect_agentsim::{AgentOutcome, Interrupt, MobileCtxAsync};
 use qelect_graph::cache::ordered_classes_cached;
 use qelect_graph::Bicolored;
 
@@ -45,12 +45,6 @@ use qelect_graph::Bicolored;
 pub fn dp_solvable(bc: &Bicolored) -> bool {
     let oc = ordered_classes_cached(bc);
     oc.classes[..oc.ell].iter().any(|c| c.len() == 1)
-}
-
-/// Blocking adapter over [`dp_anon_async`] (kept as a plain `fn` so it
-/// coerces into a `GatedAgent` closure).
-pub fn dp_anon<C: MobileCtx>(ctx: &mut C) -> Result<AgentOutcome, Interrupt> {
-    poll_now(dp_anon_async(&mut SyncCtx(ctx)))
 }
 
 /// The Dereniowski–Pelc decision, written once over [`MobileCtxAsync`]:
@@ -77,7 +71,7 @@ pub async fn dp_anon_async<C: MobileCtxAsync>(ctx: &mut C) -> Result<AgentOutcom
     Ok(verdict)
 }
 
-/// [`dp_anon`] as a [`Protocol`](qelect_agentsim::Protocol) for the
+/// [`dp_anon_async`] as a [`Protocol`](qelect_agentsim::Protocol) for the
 /// unified engine front door (wire name `dp-anon` in the registry).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DpAnonProtocol;

@@ -83,13 +83,14 @@ pub mod view_elect;
 /// Convenient re-exports for downstream users.
 ///
 /// `RunConfig` here is the unified engine-agnostic builder
-/// ([`qelect_agentsim::RunConfig`]); the gated engine's legacy config
-/// remains available as [`qelect_agentsim::gated::RunConfig`] (or via
+/// ([`qelect_agentsim::RunConfig`]); its engine-level slice, which the
+/// replay and exploration drivers take, is
+/// [`qelect_agentsim::gated::RunConfig`] (see
 /// [`qelect_agentsim::RunConfig::to_gated`]).
 pub mod prelude {
-    pub use crate::agent_elect::{agent_elect, AgentElectProtocol};
-    pub use crate::dp_anon::{dp_anon, dp_solvable, DpAnonProtocol};
-    pub use crate::elect::{elect, elect_async, run_election, ElectProtocol};
+    pub use crate::agent_elect::{agent_elect_async, AgentElectProtocol};
+    pub use crate::dp_anon::{dp_anon_async, dp_solvable, DpAnonProtocol};
+    pub use crate::elect::{elect_async, run_election, ElectProtocol};
     pub use crate::quantitative::QuantitativeProtocol;
     pub use crate::replay::{
         explore_elect, faulty_run_matches_oracle, replay_elect, run_elect_recorded,
@@ -97,12 +98,12 @@ pub mod prelude {
     };
     pub use crate::service::PreparedElection;
     pub use crate::solvability::{election_possible_cayley, gcd_of_class_sizes};
-    pub use crate::translation_elect::{run_translation_elect, translation_elect};
+    pub use crate::translation_elect::{translation_elect_async, TranslationElectProtocol};
     pub use qelect_agentsim::explore::{ExploreConfig, ExploreReport, ExploreSession};
     pub use qelect_agentsim::trace::Trace;
     pub use qelect_agentsim::{
-        poll_now, AgentOutcome, ElectionRun, Engine, FaultPlan, MobileCtx, MobileCtxAsync,
-        Protocol, RunConfig, RunError, RunReport, SyncCtx,
+        AgentOutcome, ElectionRun, Engine, FaultPlan, MobileCtxAsync, Protocol, RunConfig,
+        RunError, RunReport,
     };
 }
 

@@ -18,19 +18,7 @@
 //! in total, the map-drawing share of Theorem 3.1's bound.
 
 use crate::map::AgentMap;
-use qelect_agentsim::{
-    poll_now, Interrupt, LocalPort, MobileCtx, MobileCtxAsync, Sign, SignKind, SyncCtx,
-};
-
-/// Walk the whole graph by whiteboard DFS and return the completed map.
-/// The agent ends back at its home-base (map node 0).
-///
-/// Blocking adapter over [`map_drawing_async`] for the gated
-/// thread-per-agent engine: the future resolves on the first poll
-/// because every [`SyncCtx`] primitive blocks inside it.
-pub fn map_drawing<C: MobileCtx>(ctx: &mut C) -> Result<AgentMap, Interrupt> {
-    poll_now(map_drawing_async(&mut SyncCtx(ctx)))
-}
+use qelect_agentsim::{Interrupt, LocalPort, MobileCtxAsync, Sign, SignKind};
 
 /// Walk the whole graph by whiteboard DFS and return the completed map.
 /// The agent ends back at its home-base (map node 0).
@@ -165,41 +153,51 @@ async fn map_drawing_inner<C: MobileCtxAsync>(ctx: &mut C) -> Result<AgentMap, I
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qelect_agentsim::gated::{run_gated_faulty, GatedAgent, RunConfig, RunReport};
-    use qelect_agentsim::{AgentOutcome, FaultPlan};
+    use qelect_agentsim::{run, AgentOutcome, Protocol, RunConfig, RunReport};
     use qelect_graph::canon::are_isomorphic;
     use qelect_graph::{families, Bicolored, ColoredDigraph};
-    use std::sync::mpsc;
+    use std::sync::{Arc, Mutex};
 
-    /// Crash-free run through the non-deprecated typed entry (shadows
-    /// the legacy `run_gated` shim for every test below).
-    fn run_gated(bc: &Bicolored, cfg: RunConfig, agents: Vec<GatedAgent>) -> RunReport {
-        run_gated_faulty(bc, cfg, &FaultPlan::none(), agents).expect("gated run failed")
+    /// Map drawing alone; agent `agent` hands its map to the collector.
+    #[derive(Clone, Default)]
+    struct DrawMap {
+        maps: Arc<Mutex<Vec<(usize, AgentMap)>>>,
+        agent: usize,
+    }
+
+    impl Protocol for DrawMap {
+        async fn run_async<C: MobileCtxAsync>(
+            &self,
+            ctx: &mut C,
+        ) -> Result<AgentOutcome, Interrupt> {
+            let map = map_drawing_async(ctx).await?;
+            self.maps.lock().unwrap().push((self.agent, map));
+            Ok(AgentOutcome::Defeated)
+        }
+
+        fn for_agent(&self, agent: usize) -> Self {
+            DrawMap {
+                maps: Arc::clone(&self.maps),
+                agent,
+            }
+        }
+    }
+
+    fn draw(bc: &Bicolored, seed: u64) -> (RunReport, Vec<AgentMap>) {
+        let protocol = DrawMap::default();
+        let report = run(bc, &RunConfig::new(seed), &protocol)
+            .expect("run failed")
+            .report;
+        let mut maps = std::mem::take(&mut *protocol.maps.lock().unwrap());
+        maps.sort_by_key(|&(i, _)| i);
+        (report, maps.into_iter().map(|(_, m)| m).collect())
     }
 
     /// Run map drawing for every agent and return the maps.
     fn draw_all(bc: &Bicolored, seed: u64) -> Vec<AgentMap> {
-        let (tx, rx) = mpsc::channel::<(usize, AgentMap)>();
-        let agents: Vec<GatedAgent> = (0..bc.r())
-            .map(|i| -> GatedAgent {
-                let tx = tx.clone();
-                Box::new(move |ctx| {
-                    let map = map_drawing(ctx)?;
-                    tx.send((i, map)).expect("collector alive");
-                    Ok(AgentOutcome::Defeated)
-                })
-            })
-            .collect();
-        let cfg = RunConfig {
-            seed,
-            ..RunConfig::default()
-        };
-        let report = run_gated(bc, cfg, agents);
+        let (report, maps) = draw(bc, seed);
         assert!(report.interrupted.is_none(), "{:?}", report.outcomes);
-        drop(tx);
-        let mut maps: Vec<(usize, AgentMap)> = rx.into_iter().collect();
-        maps.sort_by_key(|&(i, _)| i);
-        maps.into_iter().map(|(_, m)| m).collect()
+        maps
     }
 
     fn assert_map_matches(bc: &Bicolored, map: &AgentMap) {
@@ -278,11 +276,7 @@ mod tests {
     #[test]
     fn map_drawing_cost_is_linear_in_edges() {
         let bc = Bicolored::new(families::hypercube(4).unwrap(), &[0]).unwrap();
-        let agents: Vec<GatedAgent> = vec![Box::new(|ctx| {
-            map_drawing(ctx)?;
-            Ok(AgentOutcome::Defeated)
-        })];
-        let report = run_gated(&bc, RunConfig::default(), agents);
+        let (report, _) = draw(&bc, 0);
         let m = bc.graph().m() as u64;
         assert!(
             report.metrics.total_moves() <= 4 * m,

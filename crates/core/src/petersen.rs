@@ -35,10 +35,12 @@ pub const ACQUIRE_X: SignKind = SignKind::Custom(22);
 /// maximally unfair schedulers).
 pub const MARK_DONE: SignKind = SignKind::Custom(23);
 
-/// The two-agent Petersen protocol ([`petersen_elect_async`]). Outside
-/// its domain — not exactly two agents, or non-adjacent home-bases —
-/// the agents stop on a failed assertion, which the engines report as
-/// a typed [`RunError::AgentPanicked`](qelect_agentsim::RunError).
+/// The two-agent Petersen protocol ([`petersen_elect_async`]). Its
+/// registry entry checks the domain — two agents at adjacent nodes of a
+/// (10, 3, 0, 1) strongly regular graph — before any agent starts, as a
+/// typed [`RunError::OutOfDomain`](qelect_agentsim::RunError). Run
+/// directly outside it, the agents stop on a failed assertion, which the
+/// engines report as [`RunError::AgentPanicked`](qelect_agentsim::RunError).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PetersenProtocol;
 

@@ -28,11 +28,10 @@
 //! per match, plus O(log) swap reconstructions).
 //!
 //! Both subroutines are written once as `async` bodies over
-//! [`MobileCtxAsync`] and run unchanged on every engine: the
+//! [`MobileCtxAsync`] and run unchanged on both engines: the
 //! single-threaded discrete-event simulator polls the futures directly,
-//! while the thread-per-agent engines drive them through
-//! [`SyncCtx`](qelect_agentsim::SyncCtx) (whose primitives block inside
-//! the poll, so the future completes on its first poll).
+//! while on the gated oracle every primitive blocks inside the poll, so
+//! the future completes on its first poll.
 
 use crate::map::AgentMap;
 use crate::schedule::{AgentRound, NodeRound};
@@ -615,15 +614,41 @@ async fn node_reduce_inner<C: MobileCtxAsync>(
 mod tests {
     use super::*;
     use crate::mapdraw::map_drawing_async;
-    use qelect_agentsim::gated::{run_gated_faulty, GatedAgent, RunConfig, RunReport};
     use qelect_agentsim::sched::Policy;
-    use qelect_agentsim::{poll_now, AgentOutcome, FaultPlan, SyncCtx};
+    use qelect_agentsim::{run, AgentOutcome, Protocol, RunConfig, RunReport};
     use qelect_graph::{families, Bicolored};
 
-    /// Crash-free run through the non-deprecated typed entry (shadows
-    /// the legacy `run_gated` shim for every test below).
-    fn run_gated(bc: &Bicolored, cfg: RunConfig, agents: Vec<GatedAgent>) -> RunReport {
-        run_gated_faulty(bc, cfg, &FaultPlan::none(), agents).expect("gated run failed")
+    /// Map the graph, return home, then synchronize with the sweep
+    /// barrier (`sweep`) or the visit barrier over every home-base.
+    #[derive(Clone)]
+    struct Barrier {
+        sweep: bool,
+        token: u64,
+    }
+
+    impl Protocol for Barrier {
+        async fn run_async<C: MobileCtxAsync>(
+            &self,
+            ctx: &mut C,
+        ) -> Result<AgentOutcome, Interrupt> {
+            let map = map_drawing_async(ctx).await?;
+            let homes: Vec<usize> = map.homebases().iter().map(|&(v, _)| v).collect();
+            let mut cr = Courier::new(ctx, map);
+            cr.goto(0).await?;
+            if self.sweep {
+                cr.barrier_sweep(homes.len(), SignKind::Sync, &[self.token])
+                    .await?;
+            } else {
+                cr.post(SignKind::Sync, vec![self.token]).await?;
+                cr.barrier_visit(&homes, SignKind::Sync, &[self.token])
+                    .await?;
+            }
+            Ok(AgentOutcome::Defeated)
+        }
+    }
+
+    fn run_barrier(bc: &Bicolored, cfg: &RunConfig, barrier: &Barrier) -> RunReport {
+        run(bc, cfg, barrier).expect("run failed").report
     }
 
     #[test]
@@ -633,24 +658,12 @@ mod tests {
         // barrier's liveness; the sign counts at every node witness that
         // everyone swept everything.
         let bc = Bicolored::new(families::cycle(6).unwrap(), &[0, 2, 3]).unwrap();
+        let barrier = Barrier {
+            sweep: true,
+            token: 77,
+        };
         for policy in [Policy::Random, Policy::Lockstep, Policy::GreedyLowest] {
-            let mk = || -> GatedAgent {
-                Box::new(|ctx| {
-                    poll_now(async move {
-                        let mut actx = SyncCtx(ctx);
-                        let map = map_drawing_async(&mut actx).await?;
-                        let mut cr = Courier::new(&mut actx, map);
-                        cr.goto(0).await?;
-                        cr.barrier_sweep(3, SignKind::Sync, &[77]).await?;
-                        Ok(AgentOutcome::Defeated)
-                    })
-                })
-            };
-            let cfg = RunConfig {
-                policy,
-                ..RunConfig::default()
-            };
-            let report = run_gated(&bc, cfg, vec![mk(), mk(), mk()]);
+            let report = run_barrier(&bc, &RunConfig::default().policy(policy), &barrier);
             assert!(
                 report.interrupted.is_none(),
                 "{policy:?}: {:?}",
@@ -668,25 +681,8 @@ mod tests {
         // moves, sweep-based ones O(n) — measure both on one instance.
         let bc = Bicolored::new(families::cycle(8).unwrap(), &[0, 2, 5]).unwrap();
         let run = |sweep: bool| -> u64 {
-            let mk = move || -> GatedAgent {
-                Box::new(move |ctx| {
-                    poll_now(async move {
-                        let mut actx = SyncCtx(ctx);
-                        let map = map_drawing_async(&mut actx).await?;
-                        let homes: Vec<usize> = map.homebases().iter().map(|&(v, _)| v).collect();
-                        let mut cr = Courier::new(&mut actx, map);
-                        cr.goto(0).await?;
-                        if sweep {
-                            cr.barrier_sweep(3, SignKind::Sync, &[5]).await?;
-                        } else {
-                            cr.post(SignKind::Sync, vec![5]).await?;
-                            cr.barrier_visit(&homes, SignKind::Sync, &[5]).await?;
-                        }
-                        Ok(AgentOutcome::Defeated)
-                    })
-                })
-            };
-            let report = run_gated(&bc, RunConfig::default(), vec![mk(), mk(), mk()]);
+            let barrier = Barrier { sweep, token: 5 };
+            let report = run_barrier(&bc, &RunConfig::default(), &barrier);
             assert!(report.interrupted.is_none(), "{:?}", report.outcomes);
             report.metrics.total_moves()
         };
@@ -752,7 +748,7 @@ mod tests {
     /// with the pure schedule and with the gcd oracle.
     #[test]
     fn reduce_edge_case_instances_end_to_end() {
-        use crate::elect::{elect_agents, ElectFault};
+        use crate::elect::run_election;
         use crate::solvability::{elect_succeeds, gcd_of_class_sizes};
         use qelect_graph::cache::ordered_classes_cached;
 
@@ -775,11 +771,9 @@ mod tests {
             assert_eq!(schedule.final_d, g, "C{n} {homes:?}");
             assert_eq!(schedule.elects(), g == 1);
 
-            let report = run_gated(
-                &bc,
-                RunConfig::default(),
-                elect_agents(bc.r(), ElectFault::default()),
-            );
+            let report = run_election(&bc, &RunConfig::default())
+                .expect("run failed")
+                .report;
             assert!(report.interrupted.is_none(), "C{n} {homes:?}");
             assert_eq!(report.clean_election(), g == 1, "C{n} {homes:?}");
             assert_eq!(report.unanimous_unsolvable(), g != 1, "C{n} {homes:?}");

@@ -10,7 +10,7 @@
 //!
 //! Every entry is a [`Protocol`] and runs on both engines (sim by
 //! default, gated as the oracle); its runner is one monomorphisation of
-//! [`run_entry`], except where the protocol needs per-instance setup.
+//! `run_entry`, except where the protocol needs per-instance setup.
 //!
 //! | wire name | paper | oracle |
 //! |---|---|---|
@@ -35,14 +35,14 @@ use crate::solvability::{elect_succeeds, election_possible_cayley};
 use crate::translation_elect::TranslationElectProtocol;
 use crate::view_elect::ViewElectProtocol;
 use qelect_agentsim::fault::FaultPlan;
-use qelect_agentsim::gated::{self, try_run_gated_with, RunReport};
+use qelect_agentsim::gated::{self, RunReport};
 use qelect_agentsim::json::envelope;
-use qelect_agentsim::registry::protocol_agents;
 use qelect_agentsim::sched::Scheduler;
 use qelect_agentsim::{
-    try_run_sim_with, AgentOutcome, ElectionRun, Engine, ExploreSpec, Protocol, ProtocolCaps,
+    run_with, AgentOutcome, ElectionRun, Engine, ExploreSpec, Protocol, ProtocolCaps,
     ProtocolEntry, ProtocolId, Registry, RunConfig, RunError, Trace,
 };
+use qelect_graph::analysis::strongly_regular_parameters;
 use qelect_graph::Bicolored;
 use qelect_group::recognition::RecognitionBudget;
 
@@ -79,10 +79,9 @@ fn run_view_entry(bc: &Bicolored, cfg: &RunConfig) -> Result<ElectionRun, RunErr
 }
 
 /// One exploration schedule of `P::default()` on either engine — the
-/// uniform `ExploreSpec::run` body. Both arms run the *same* protocol
-/// value, so the gated and sim engines produce byte-identical reports
-/// for the same grant sequence and coverage signatures are
-/// engine-portable.
+/// uniform `ExploreSpec::run` body. Both engines run the *same*
+/// protocol value, so they produce byte-identical reports for the same
+/// grant sequence and coverage signatures are engine-portable.
 fn explore_run<P>(
     bc: &Bicolored,
     cfg: &gated::RunConfig,
@@ -90,19 +89,16 @@ fn explore_run<P>(
     scheduler: &mut dyn Scheduler,
 ) -> Result<RunReport, RunError>
 where
-    P: Protocol + Default + Clone + Send + 'static,
+    P: Protocol + Default + Clone + Send,
 {
-    let protocol = P::default();
-    match engine {
-        Engine::Sim => try_run_sim_with(bc, *cfg, &FaultPlan::none(), &protocol, scheduler),
-        Engine::Gated => try_run_gated_with(
-            bc,
-            *cfg,
-            &FaultPlan::none(),
-            protocol_agents(protocol, bc),
-            scheduler,
-        ),
-    }
+    run_with(
+        bc,
+        cfg,
+        engine,
+        &FaultPlan::none(),
+        &P::default(),
+        scheduler,
+    )
 }
 
 fn elect_explore_property(bc: &Bicolored, report: &RunReport) -> Result<(), String> {
@@ -196,6 +192,53 @@ fn no_oracle(_bc: &Bicolored) -> Option<bool> {
     None
 }
 
+fn any_instance(_bc: &Bicolored) -> Result<(), String> {
+    Ok(())
+}
+
+/// The Fig. 5 configuration: two agents at adjacent nodes of a graph
+/// with the Petersen graph's strongly regular parameters (10, 3, 0, 1),
+/// which step 4 relies on (the two marked nodes have exactly one common
+/// neighbor).
+fn petersen_domain(bc: &Bicolored) -> Result<(), String> {
+    if bc.r() != 2 {
+        return Err(format!(
+            "the Fig. 5 protocol needs exactly two agents, got {}",
+            bc.r()
+        ));
+    }
+    let g = bc.graph();
+    // The size test first: the parameter scan is quadratic in n.
+    if g.n() != 10 || strongly_regular_parameters(g) != Some((10, 3, 0, 1)) {
+        return Err(
+            "the Fig. 5 protocol needs a graph with the Petersen graph's strongly regular \
+             parameters (10, 3, 0, 1)"
+                .to_string(),
+        );
+    }
+    let (a, b) = (bc.homebases()[0], bc.homebases()[1]);
+    if !g.neighbors(a).any(|v| v == b) {
+        return Err(format!(
+            "the Fig. 5 protocol needs adjacent home-bases, got {a} and {b}"
+        ));
+    }
+    Ok(())
+}
+
+/// The ring probe walks "forward", which needs every node to have
+/// exactly two ports.
+fn ring_domain(bc: &Bicolored) -> Result<(), String> {
+    let g = bc.graph();
+    match (0..g.n()).find(|&v| g.degree(v) != 2) {
+        None => Ok(()),
+        Some(v) => Err(format!(
+            "the \u{a7}1.3 ring probe needs a ring (every node of degree 2), \
+             but node {v} has degree {}",
+            g.degree(v)
+        )),
+    }
+}
+
 static ENTRIES: [ProtocolEntry; 9] = [
     ProtocolEntry {
         id: ProtocolId::new("elect"),
@@ -211,6 +254,7 @@ static ENTRIES: [ProtocolEntry; 9] = [
         runner: run_entry::<ElectProtocol>,
         explore: Some(&ELECT_EXPLORE),
         oracle: elect_oracle,
+        domain: any_instance,
     },
     ProtocolEntry {
         id: ProtocolId::new("cayley"),
@@ -226,6 +270,7 @@ static ENTRIES: [ProtocolEntry; 9] = [
         runner: run_entry::<TranslationElectProtocol>,
         explore: None,
         oracle: cayley_oracle,
+        domain: any_instance,
     },
     ProtocolEntry {
         id: ProtocolId::new("quantitative"),
@@ -241,6 +286,7 @@ static ENTRIES: [ProtocolEntry; 9] = [
         runner: run_quantitative_entry,
         explore: None,
         oracle: always_elects,
+        domain: any_instance,
     },
     ProtocolEntry {
         id: ProtocolId::new("view"),
@@ -256,6 +302,7 @@ static ENTRIES: [ProtocolEntry; 9] = [
         runner: run_view_entry,
         explore: None,
         oracle: no_oracle,
+        domain: any_instance,
     },
     ProtocolEntry {
         id: ProtocolId::new("gather"),
@@ -271,6 +318,7 @@ static ENTRIES: [ProtocolEntry; 9] = [
         runner: run_entry::<GatherProtocol>,
         explore: None,
         oracle: no_oracle,
+        domain: any_instance,
     },
     ProtocolEntry {
         id: ProtocolId::new("petersen"),
@@ -286,6 +334,7 @@ static ENTRIES: [ProtocolEntry; 9] = [
         runner: run_entry::<PetersenProtocol>,
         explore: None,
         oracle: no_oracle,
+        domain: petersen_domain,
     },
     ProtocolEntry {
         id: ProtocolId::new("anonymous"),
@@ -301,6 +350,7 @@ static ENTRIES: [ProtocolEntry; 9] = [
         runner: run_entry::<RingProbeProtocol>,
         explore: Some(&ANON_EXPLORE),
         oracle: no_oracle,
+        domain: ring_domain,
     },
     ProtocolEntry {
         id: ProtocolId::new("dp-anon"),
@@ -316,6 +366,7 @@ static ENTRIES: [ProtocolEntry; 9] = [
         runner: run_entry::<DpAnonProtocol>,
         explore: Some(&DP_ANON_EXPLORE),
         oracle: dp_anon_oracle,
+        domain: any_instance,
     },
     ProtocolEntry {
         id: ProtocolId::new("agent-elect"),
@@ -331,6 +382,7 @@ static ENTRIES: [ProtocolEntry; 9] = [
         runner: run_entry::<AgentElectProtocol>,
         explore: Some(&AGENT_ELECT_EXPLORE),
         oracle: always_elects,
+        domain: any_instance,
     },
 ];
 
@@ -483,14 +535,19 @@ mod tests {
     fn every_entry_runs_identically_on_both_engines() {
         let petersen_pair = Bicolored::new(families::petersen().unwrap(), &[0, 1]).unwrap();
         let hypercube = Bicolored::new(families::hypercube(3).unwrap(), &[0, 7]).unwrap();
-        let instances = [cycle(9, &[0, 1, 3]), cycle(6, &[0, 3]), hypercube];
+        let instances = [
+            cycle(9, &[0, 1, 3]),
+            cycle(6, &[0, 3]),
+            hypercube,
+            petersen_pair,
+        ];
         assert_eq!(registry().entries().len(), 9);
         for e in registry().entries() {
-            let cases: &[Bicolored] = if e.id.name() == "petersen" {
-                std::slice::from_ref(&petersen_pair)
-            } else {
-                &instances
-            };
+            let cases: Vec<&Bicolored> = instances
+                .iter()
+                .filter(|bc| (e.domain)(bc).is_ok())
+                .collect();
+            assert!(!cases.is_empty(), "{} runs on none of the instances", e.id);
             for bc in cases {
                 let cfg = RunConfig::new(11).record_trace(true);
                 let run_on = |engine: Engine| {
@@ -516,9 +573,18 @@ mod tests {
     #[test]
     fn out_of_domain_instances_are_typed_errors_not_unwinds() {
         let petersen_triple = Bicolored::new(families::petersen().unwrap(), &[0, 1, 2]).unwrap();
-        let mismatched = [cycle(6, &[0, 3]), petersen_triple];
+        let path = Bicolored::new(families::path(5).unwrap(), &[0]).unwrap();
+        let mismatched = [cycle(6, &[0, 3]), petersen_triple, path];
         for e in registry().entries() {
-            for bc in &mismatched {
+            for (i, bc) in mismatched.iter().enumerate() {
+                // Petersen is outside Fig. 5's domain on all three; the
+                // ring probe only on the two that are not rings.
+                let outside = match e.id.name() {
+                    "petersen" => true,
+                    "anonymous" => i > 0,
+                    _ => false,
+                };
+                assert_eq!((e.domain)(bc).is_err(), outside, "{} on {i}", e.id);
                 for engine in [Engine::Gated, Engine::Sim] {
                     let cfg = RunConfig::new(0).engine(engine);
                     let result =
@@ -531,12 +597,18 @@ mod tests {
                             engine.name()
                         )
                     });
-                    if e.id.name() == "petersen" {
-                        assert!(
-                            matches!(result, Err(RunError::AgentPanicked { .. })),
-                            "petersen outside its domain must be a typed error: {result:?}"
-                        );
-                    }
+                    assert_eq!(
+                        matches!(result, Err(RunError::OutOfDomain(_))),
+                        outside,
+                        "{} on instance {i} ({}): {result:?}",
+                        e.id,
+                        engine.name()
+                    );
+                }
+                if e.explore.is_some() {
+                    let session =
+                        qelect_agentsim::ExploreSession::from_entry(e, bc, &RunConfig::new(0));
+                    assert_eq!(session.is_err(), outside, "{} explore on {i}", e.id);
                 }
             }
         }

@@ -1,8 +1,9 @@
 //! Record, replay, and systematically explore ELECT executions.
 //!
-//! The gated engine is deterministic given `(instance, seed, grant
+//! Both engines are deterministic given `(instance, seed, grant
 //! sequence)`, which buys three capabilities, packaged here for the
-//! election protocols:
+//! election protocols (recordings and replays run on the gated oracle,
+//! as the committed corpus always has):
 //!
 //! * **Record** — [`run_elect_recorded`] / [`run_translation_elect_recorded`]
 //!   return the run together with its [`Trace`] (schedule + per-primitive
@@ -19,56 +20,65 @@
 //!   [`ElectFault`]) through a bespoke session driver to prove the
 //!   harness actually catches and shrinks violations.
 
-use crate::anonymous::ring_probe;
-use crate::elect::{elect_agents, run_election, ElectFault};
+use crate::anonymous::RingProbeProtocol;
+use crate::elect::{run_election, ElectFault, ElectProtocol};
 use crate::solvability::elect_succeeds;
-use crate::translation_elect::translation_elect;
+use crate::translation_elect::TranslationElectProtocol;
 use qelect_agentsim::explore::{ExploreConfig, ExploreReport, ExploreSession};
 use qelect_agentsim::fault::{shrink_plan, FaultPlan};
-use qelect_agentsim::gated::{
-    run_gated_faulty, try_run_gated_with, GatedAgent, RunConfig, RunReport,
-};
+use qelect_agentsim::gated::{RunConfig, RunReport};
 use qelect_agentsim::sched::{ReplayScheduler, Scheduler};
 use qelect_agentsim::trace::Trace;
-use qelect_agentsim::{ElectionRun, Engine, RunError};
+use qelect_agentsim::{run, run_with, ElectionRun, Engine, Protocol, RunError};
 use qelect_graph::Bicolored;
 
-/// Run ELECT with trace recording on and package the result.
-pub fn run_elect_recorded(bc: &Bicolored, cfg: RunConfig, label: &str) -> (RunReport, Trace) {
+/// Run `protocol` on the gated oracle with trace recording on and
+/// package the result.
+fn run_recorded<P>(bc: &Bicolored, cfg: RunConfig, label: &str, protocol: &P) -> (RunReport, Trace)
+where
+    P: Protocol + Clone + Send,
+{
     let cfg = RunConfig {
         record_trace: true,
         ..cfg
     };
-    let report = run_gated_faulty(
+    let mut scheduler = cfg.policy.build(cfg.seed);
+    let report = run_with(
         bc,
-        cfg,
+        &cfg,
+        Engine::Gated,
         &FaultPlan::none(),
-        elect_agents(bc.r(), ElectFault::default()),
+        protocol,
+        scheduler.as_mut(),
     )
     .expect("gated run failed");
     let trace = report.to_trace(bc, cfg.seed, label);
     (report, trace)
 }
 
-/// Run the effectual Cayley variant with trace recording on.
+/// Run ELECT on the gated oracle with trace recording on and package
+/// the result.
+pub fn run_elect_recorded(bc: &Bicolored, cfg: RunConfig, label: &str) -> (RunReport, Trace) {
+    run_recorded(bc, cfg, label, &ElectProtocol::default())
+}
+
+/// Run the effectual Cayley variant on the gated oracle with trace
+/// recording on.
 pub fn run_translation_elect_recorded(
     bc: &Bicolored,
     cfg: RunConfig,
     label: &str,
 ) -> (RunReport, Trace) {
-    let cfg = RunConfig {
-        record_trace: true,
-        ..cfg
-    };
-    let agents: Vec<GatedAgent> = (0..bc.r())
-        .map(|_| -> GatedAgent { Box::new(translation_elect) })
-        .collect();
-    let report = run_gated_faulty(bc, cfg, &FaultPlan::none(), agents).expect("gated run failed");
-    let trace = report.to_trace(bc, cfg.seed, label);
-    (report, trace)
+    run_recorded(bc, cfg, label, &TranslationElectProtocol)
 }
 
-fn check_instance(bc: &Bicolored, trace: &Trace) {
+/// Strictly (or leniently) replay `trace` on the gated oracle under the
+/// trace's seed — colors and port scrambles must match the recording
+/// for bit-for-bit replay.
+fn replay<P>(bc: &Bicolored, trace: &Trace, strict: bool, protocol: &P) -> RunReport
+where
+    P: Protocol + Clone + Send + 'static,
+{
     assert_eq!(
         trace.agents,
         bc.r(),
@@ -83,52 +93,23 @@ fn check_instance(bc: &Bicolored, trace: &Trace) {
         trace.nodes,
         bc.n()
     );
+    let cfg = qelect_agentsim::RunConfig::new(trace.seed)
+        .engine(Engine::Gated)
+        .record_trace(true)
+        .replay(trace.schedule.clone(), strict);
+    run(bc, &cfg, protocol).expect("gated run failed").report
 }
 
-/// Re-execute a recorded ELECT run. The trace's seed is used (colors
-/// and port scrambles must match the recording for bit-for-bit replay);
-/// `strict` panics on the first schedule divergence.
+/// Re-execute a recorded ELECT run; `strict` panics on the first
+/// schedule divergence.
 pub fn replay_elect(bc: &Bicolored, trace: &Trace, strict: bool) -> RunReport {
-    check_instance(bc, trace);
-    let cfg = RunConfig {
-        seed: trace.seed,
-        record_trace: true,
-        ..RunConfig::default()
-    };
-    let mut scheduler = if strict {
-        ReplayScheduler::strict(trace.schedule.clone())
-    } else {
-        ReplayScheduler::new(trace.schedule.clone())
-    };
-    try_run_gated_with(
-        bc,
-        cfg,
-        &FaultPlan::none(),
-        elect_agents(bc.r(), ElectFault::default()),
-        &mut scheduler,
-    )
-    .expect("gated run failed")
+    replay(bc, trace, strict, &ElectProtocol::default())
 }
 
 /// Re-execute a recorded anonymous ring-probe run (the §1.3
 /// impossibility counterexample lives in a committed trace).
 pub fn replay_ring_probe(bc: &Bicolored, trace: &Trace, strict: bool) -> RunReport {
-    check_instance(bc, trace);
-    let cfg = RunConfig {
-        seed: trace.seed,
-        record_trace: true,
-        ..RunConfig::default()
-    };
-    let mut scheduler = if strict {
-        ReplayScheduler::strict(trace.schedule.clone())
-    } else {
-        ReplayScheduler::new(trace.schedule.clone())
-    };
-    let agents: Vec<GatedAgent> = (0..bc.r())
-        .map(|_| -> GatedAgent { Box::new(ring_probe) })
-        .collect();
-    try_run_gated_with(bc, cfg, &FaultPlan::none(), agents, &mut scheduler)
-        .expect("gated run failed")
+    replay(bc, trace, strict, &RingProbeProtocol)
 }
 
 /// The correctness property exploration checks, derived from the gcd
@@ -188,12 +169,13 @@ pub fn explore_elect_with_fault(
         run_cfg,
         Engine::Gated,
         false,
-        move |cfg: &RunConfig, _engine, scheduler: &mut dyn Scheduler| {
-            try_run_gated_with(
+        move |cfg: &RunConfig, engine, scheduler: &mut dyn Scheduler| {
+            run_with(
                 bc,
-                *cfg,
+                cfg,
+                engine,
                 &FaultPlan::none(),
-                elect_agents(bc.r(), fault),
+                &ElectProtocol { fault },
                 scheduler,
             )
         },
@@ -257,14 +239,8 @@ pub fn explore_elect_with_plan(
         run_cfg,
         Engine::Gated,
         false,
-        move |cfg: &RunConfig, _engine, scheduler: &mut dyn Scheduler| {
-            try_run_gated_with(
-                bc,
-                *cfg,
-                plan,
-                elect_agents(bc.r(), ElectFault::default()),
-                scheduler,
-            )
+        move |cfg: &RunConfig, engine, scheduler: &mut dyn Scheduler| {
+            run_with(bc, cfg, engine, plan, &ElectProtocol::default(), scheduler)
         },
         move |report: &RunReport| elect_oracle_check(bc, report),
     );
@@ -301,13 +277,13 @@ pub fn elect_schedule_fails(
         record_trace: false,
         ..run_cfg
     };
-    let mut scheduler = ReplayScheduler::new(schedule.to_vec());
-    let report = try_run_gated_with(
+    let report = run_with(
         bc,
-        run_cfg,
+        &run_cfg,
+        Engine::Gated,
         &FaultPlan::none(),
-        elect_agents(bc.r(), fault),
-        &mut scheduler,
+        &ElectProtocol { fault },
+        &mut ReplayScheduler::new(schedule.to_vec()),
     )
     .expect("gated run failed");
     elect_oracle_check(bc, &report).is_err()
@@ -380,13 +356,9 @@ mod tests {
             seed: 4,
             ..RunConfig::default()
         };
-        let report = run_gated_faulty(
-            &bc,
-            cfg,
-            &FaultPlan::none(),
-            elect_agents(bc.r(), ElectFault::default()),
-        )
-        .expect("gated run failed");
+        let report = run_election(&bc, &qelect_agentsim::RunConfig::new(cfg.seed))
+            .expect("run failed")
+            .report;
         assert!(elect_oracle_check(&bc, &report).is_ok());
 
         // A doctored report claiming two leaders must be rejected.

@@ -7,7 +7,8 @@
 //! whiteboard access per activation, explicit state in fields. The same
 //! value therefore runs
 //!
-//! * natively on a mobile-agent engine via
+//! * natively on either mobile-agent engine as [`QuantMachineProtocol`],
+//!   which hands each agent its machine through
 //!   [`qelect_agentsim::stepagent::drive`], and
 //! * as a **message** on the anonymous processor network of
 //!   [`qelect_agentsim::message_net::MessageNet`] — the paper's Fig. 1
@@ -17,8 +18,9 @@
 //! two executions elect the same agent on every instance.
 
 use crate::map::AgentMap;
-use qelect_agentsim::stepagent::{StepAction, StepAgent, StepEnv};
-use qelect_agentsim::{AgentOutcome, LocalPort, SignKind};
+use qelect_agentsim::stepagent::{drive, StepAction, StepAgent, StepEnv};
+use qelect_agentsim::{AgentOutcome, Interrupt, LocalPort, MobileCtxAsync, Protocol, SignKind};
+use std::sync::Arc;
 
 /// The `Custom` kind carrying the quantitative label (payload `[id]`) —
 /// shared with [`crate::quantitative::ID_SIGN`].
@@ -168,29 +170,58 @@ impl StepAgent for QuantMachine {
     }
 }
 
+/// The Fig. 1 machine as a [`Protocol`]: agent `i` (the `i`-th
+/// home-base) drives a fresh `QuantMachine::new(ids[i])`, selected by
+/// [`Protocol::for_agent`] as in
+/// [`QuantitativeProtocol`](crate::quantitative::QuantitativeProtocol).
+#[derive(Debug, Clone)]
+pub struct QuantMachineProtocol {
+    ids: Arc<[u64]>,
+    agent: usize,
+}
+
+impl QuantMachineProtocol {
+    /// A protocol assigning label `ids[i]` to agent `i`.
+    pub fn new(ids: &[u64]) -> QuantMachineProtocol {
+        QuantMachineProtocol {
+            ids: ids.into(),
+            agent: 0,
+        }
+    }
+}
+
+impl Protocol for QuantMachineProtocol {
+    async fn run_async<C: MobileCtxAsync>(&self, ctx: &mut C) -> Result<AgentOutcome, Interrupt> {
+        drive(&mut QuantMachine::new(self.ids[self.agent]), ctx).await
+    }
+
+    fn for_agent(&self, agent: usize) -> Self {
+        QuantMachineProtocol {
+            ids: Arc::clone(&self.ids),
+            agent,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qelect_agentsim::gated::{run_gated_faulty, GatedAgent, RunConfig};
     use qelect_agentsim::message_net::MessageNet;
-    use qelect_agentsim::stepagent::drive;
-    use qelect_agentsim::FaultPlan;
+    use qelect_agentsim::{run, Engine, RunConfig};
     use qelect_graph::{families, Bicolored};
 
+    /// The native leader, identical on both engines.
     fn native_leader(bc: &Bicolored, ids: &[u64], seed: u64) -> Option<usize> {
-        let agents: Vec<GatedAgent> = ids
-            .iter()
-            .map(|&id| -> GatedAgent {
-                Box::new(move |ctx| drive(&mut QuantMachine::new(id), ctx))
-            })
-            .collect();
-        let cfg = RunConfig {
-            seed,
-            ..RunConfig::default()
+        let protocol = QuantMachineProtocol::new(ids);
+        let cfg = RunConfig::new(seed).record_trace(true);
+        let on = |engine| {
+            run(bc, &cfg.clone().engine(engine), &protocol)
+                .expect("run failed")
+                .report
         };
-        let report =
-            run_gated_faulty(bc, cfg, &FaultPlan::none(), agents).expect("gated run failed");
+        let report = on(Engine::Gated);
         assert!(report.clean_election(), "{:?}", report.outcomes);
+        assert_eq!(report.fingerprint(), on(Engine::Sim).fingerprint());
         report.leader
     }
 

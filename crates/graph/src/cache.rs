@@ -684,6 +684,14 @@ mod tests {
         Bicolored::new(families::cycle(n).unwrap(), homes).unwrap()
     }
 
+    /// Held by the tests that depend on the process-global enabled flag:
+    /// while one disables the cache, the other's lookups would bypass it.
+    static GLOBAL_ENABLED: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn hold_enabled_flag() -> std::sync::MutexGuard<'static, ()> {
+        GLOBAL_ENABLED.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn fnv_extends_piecewise() {
         let words = [1u64, 0xdead_beef, 7, u64::MAX];
@@ -849,6 +857,7 @@ mod tests {
         // checks the *correctness* of the disabled path — concurrent
         // tests may interleave counter traffic, so no counter asserts.
         let bc = instance(5, &[0]);
+        let _flag = hold_enabled_flag();
         global().set_enabled(false);
         let oc = ordered_classes_cached(&bc);
         let canon = canonicalize_cached(&ColoredDigraph::from_bicolored(&bc));
@@ -864,6 +873,7 @@ mod tests {
     fn canon_observer_sees_misses_not_hits_or_seeds() {
         // The observer is process-global; use a distinctive instance so
         // concurrent tests' traffic cannot be mistaken for ours.
+        let _flag = hold_enabled_flag();
         let bc = instance(46, &[0, 9, 21]);
         let d = ColoredDigraph::from_bicolored(&bc);
         let key = encode_digraph(&d);

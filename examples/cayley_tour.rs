@@ -49,7 +49,9 @@ fn main() {
                 sub.translation_gcd(bc.homebases())
             );
         }
-        let report = run_translation_elect(&bc, RunConfig::default().to_gated());
+        let report = qelect_agentsim::run(&bc, &RunConfig::default(), &TranslationElectProtocol)
+            .expect("run failed")
+            .report;
         println!("   protocol verdict: {:?}\n", report.outcomes[0]);
     }
 

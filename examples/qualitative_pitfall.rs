@@ -14,10 +14,9 @@
 //! that is perfectly correct for a lone agent on `C₃` elects *two*
 //! leaders on `C₆` under the synchronous scheduler.
 
-use qelect::anonymous::run_ring_probe;
+use qelect::anonymous::RingProbeProtocol;
 use qelect::prelude::*;
 use qelect_agentsim::sched::Policy;
-use qelect_agentsim::AgentOutcome;
 use qelect_graph::view::{first_seen_code, path_walk_symbols};
 use qelect_graph::{families, Bicolored, GraphBuilder, Port};
 
@@ -40,12 +39,16 @@ fn main() {
     // ---- Part 2: anonymity is fatal ----
     println!("Part 2 — the §1.3 anonymous-agents impossibility\n");
     let lone = Bicolored::new(families::cycle(3).unwrap(), &[0]).unwrap();
-    let report = run_ring_probe(&lone, RunConfig::default().to_gated());
+    let report = qelect_agentsim::run(&lone, &RunConfig::default(), &RingProbeProtocol)
+        .expect("the ring probe runs on a ring")
+        .report;
     println!("C3, lone agent: {:?} (correct)", report.outcomes);
 
     let twins = Bicolored::new(families::cycle(6).unwrap(), &[0, 3]).unwrap();
-    let cfg = RunConfig::new(0).policy(Policy::Lockstep).to_gated();
-    let report = run_ring_probe(&twins, cfg);
+    let cfg = RunConfig::new(0).policy(Policy::Lockstep);
+    let report = qelect_agentsim::run(&twins, &cfg, &RingProbeProtocol)
+        .expect("the ring probe runs on a ring")
+        .report;
     let leaders = report
         .outcomes
         .iter()

@@ -3,27 +3,17 @@
 
 use qelect::prelude::*;
 use qelect::solvability::{election_possible_cayley, impossible_by_thm21};
-// The effectual driver (`run_translation_elect`) is gated-engine
-// specific, so this file uses the gated config.
-use qelect_agentsim::gated::RunConfig;
-use qelect_agentsim::AgentOutcome;
 use qelect_graph::{families, Bicolored};
 use qelect_group::marking::{marking_schedule, verify_witness_labeling};
-
-/// Crash-free ELECT through the non-deprecated typed entry (shadows the
-/// deprecated `run_elect` shim re-exported by the prelude glob).
-fn run_elect(bc: &Bicolored, cfg: RunConfig) -> RunReport {
-    use qelect::elect::{elect_agents, ElectFault};
-    qelect_agentsim::gated::run_gated_faulty(
-        bc,
-        cfg,
-        &FaultPlan::none(),
-        elect_agents(bc.r(), ElectFault::default()),
-    )
-    .expect("gated run failed")
-}
 use qelect_group::recognition::RecognitionBudget;
 use qelect_group::CayleyGraph;
+
+/// One run of the effectual Cayley protocol.
+fn run_cayley(bc: &Bicolored) -> RunReport {
+    qelect_agentsim::run(bc, &RunConfig::default(), &TranslationElectProtocol)
+        .expect("run failed")
+        .report
+}
 
 #[test]
 fn effectual_on_exhaustive_small_cycles() {
@@ -34,7 +24,7 @@ fn effectual_on_exhaustive_small_cycles() {
         for r in 1..=3usize.min(n) {
             for bc in Bicolored::all_placements(&g, r) {
                 let oracle = election_possible_cayley(&bc, RecognitionBudget::default());
-                let report = run_translation_elect(&bc, RunConfig::default());
+                let report = run_cayley(&bc);
                 match oracle {
                     Some(true) => assert!(
                         report.clean_election(),
@@ -63,7 +53,7 @@ fn effectual_on_hypercube_placements() {
     let g = families::hypercube(3).unwrap();
     for bc in Bicolored::all_placements(&g, 2) {
         let oracle = election_possible_cayley(&bc, RecognitionBudget::default());
-        let report = run_translation_elect(&bc, RunConfig::default());
+        let report = run_cayley(&bc);
         match oracle {
             Some(true) => assert!(report.clean_election(), "{:?}", bc.homebases()),
             Some(false) => {
@@ -122,7 +112,7 @@ fn petersen_divergence_elect_fails_bespoke_succeeds() {
     let bc = Bicolored::new(families::petersen().unwrap(), &[0, 1]).unwrap();
 
     // 1. Plain ELECT reports failure (gcd = 2).
-    let elect_report = run_elect(&bc, RunConfig::default());
+    let elect_report = run_election(&bc, &RunConfig::default()).unwrap().report;
     assert!(
         elect_report.unanimous_unsolvable(),
         "{:?}",
@@ -130,7 +120,7 @@ fn petersen_divergence_elect_fails_bespoke_succeeds() {
     );
 
     // 2. The effectual Cayley protocol declines (not a Cayley graph).
-    let eff_report = run_translation_elect(&bc, RunConfig::default());
+    let eff_report = run_cayley(&bc);
     assert!(eff_report
         .outcomes
         .iter()
@@ -139,7 +129,7 @@ fn petersen_divergence_elect_fails_bespoke_succeeds() {
     // 3. The bespoke protocol elects.
     let bespoke = qelect::registry::resolve("petersen")
         .unwrap()
-        .run(&bc, &qelect_agentsim::RunConfig::default())
+        .run(&bc, &RunConfig::default())
         .unwrap()
         .report;
     assert!(bespoke.clean_election(), "{:?}", bespoke.outcomes);
@@ -151,7 +141,7 @@ fn star_graph_instances() {
     let g = families::star_graph(3).unwrap();
     let solvable = Bicolored::new(g.clone(), &[0, 1, 2]).unwrap();
     let oracle = election_possible_cayley(&solvable, RecognitionBudget::default());
-    let report = run_translation_elect(&solvable, RunConfig::default());
+    let report = run_cayley(&solvable);
     match oracle {
         Some(true) => assert!(report.clean_election(), "{:?}", report.outcomes),
         Some(false) => assert!(report.unanimous_unsolvable(), "{:?}", report.outcomes),

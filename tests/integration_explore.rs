@@ -8,9 +8,7 @@ use qelect::prelude::*;
 use qelect::replay::{elect_schedule_fails, explore_elect_with_fault};
 use qelect::solvability::{elect_succeeds, gcd_of_class_sizes};
 use qelect_agentsim::explore::shrink_trace;
-// The exploration drivers are gated-engine specific (schedule trees only
-// exist under the deterministic scheduler), so this file uses the gated
-// engine's own config rather than the unified builder.
+// The exploration drivers take the engine-level config slice.
 use qelect_agentsim::gated::RunConfig;
 use qelect_agentsim::sched::Policy;
 use qelect_graph::{families, Bicolored};
@@ -178,18 +176,13 @@ fn recorded_exploration_counterexample_replays_deterministically() {
         .next()
         .expect("fault surfaces");
 
-    let mut scheduler = qelect_agentsim::ReplayScheduler::strict(ce.schedule.clone());
-    let replayed = qelect_agentsim::gated::try_run_gated_with(
-        &bc,
-        RunConfig {
-            record_trace: true,
-            ..cfg
-        },
-        &qelect_agentsim::FaultPlan::none(),
-        qelect::elect::elect_agents(bc.r(), fault),
-        &mut scheduler,
-    )
-    .expect("replay run failed");
+    let replay = qelect_agentsim::RunConfig::new(cfg.seed)
+        .engine(Engine::Gated)
+        .record_trace(true)
+        .replay(ce.schedule.clone(), true);
+    let replayed = qelect_agentsim::run(&bc, &replay, &ElectProtocol { fault })
+        .expect("replay run failed")
+        .report;
     assert_eq!(replayed.outcomes, ce.report.outcomes);
     assert_eq!(replayed.leader, ce.report.leader);
     assert_eq!(replayed.trace, ce.schedule);

@@ -9,9 +9,7 @@ use proptest::prelude::*;
 use qelect::prelude::*;
 use qelect::replay::{record_replay_elect_with_plan, shrink_failing_plan};
 use qelect::solvability::elect_succeeds;
-use qelect_agentsim::gated::try_run_gated_with;
-use qelect_agentsim::gated::GatedAgent;
-use qelect_agentsim::{AgentOutcome, Interrupt, ReplayScheduler};
+use qelect_agentsim::{AgentOutcome, Interrupt};
 use qelect_graph::{families, Bicolored};
 
 fn acceptance_suite() -> Vec<(&'static str, Bicolored)> {
@@ -180,24 +178,24 @@ fn crash_free_plan_is_behaviorally_invisible() {
 
 #[test]
 fn crash_free_plan_reproduces_committed_c6_trace() {
-    // The committed §1.3 witness, driven through the fault-aware engine
-    // entry point with an empty plan: byte-identical schedule, events
-    // and double election. Crash-free plans cost nothing and change
-    // nothing.
-    use qelect::anonymous::ring_probe;
+    // The committed §1.3 witness, replayed on the gated oracle with an
+    // explicitly empty fault plan: byte-identical schedule, events and
+    // double election. Crash-free plans cost nothing and change nothing.
+    use qelect::anonymous::RingProbeProtocol;
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/../../tests/traces/c6_two_leaders.json"
     );
     let trace = Trace::load(path).expect("committed trace parses");
     let bc = Bicolored::new(families::cycle(6).unwrap(), &[0, 3]).unwrap();
-    let cfg = RunConfig::new(trace.seed).record_trace(true).to_gated();
-    let agents: Vec<GatedAgent> = (0..bc.r())
-        .map(|_| -> GatedAgent { Box::new(ring_probe) })
-        .collect();
-    let mut scheduler = ReplayScheduler::strict(trace.schedule.clone());
-    let report = try_run_gated_with(&bc, cfg, &FaultPlan::none(), agents, &mut scheduler)
-        .expect("crash-free replay cannot fail");
+    let cfg = RunConfig::new(trace.seed)
+        .engine(Engine::Gated)
+        .record_trace(true)
+        .faults(FaultPlan::none())
+        .replay(trace.schedule.clone(), true);
+    let report = qelect_agentsim::run(&bc, &cfg, &RingProbeProtocol)
+        .expect("crash-free replay cannot fail")
+        .report;
     let leaders = report
         .outcomes
         .iter()

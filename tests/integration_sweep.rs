@@ -11,25 +11,11 @@
 //! * the committed C6 double-election witness replays bit-for-bit
 //!   through the cached path, cold and warm.
 
-use qelect::prelude::{gcd_of_class_sizes, Trace};
+use qelect::prelude::{gcd_of_class_sizes, run_election, RunConfig, Trace};
 use qelect::solvability::elect_succeeds;
-use qelect_agentsim::gated::{run_gated_faulty, RunConfig, RunReport};
-use qelect_agentsim::FaultPlan;
 use qelect_bench::sweep::{run_sweep, SweepBucket, SweepConfig};
 use qelect_graph::cache;
 use qelect_graph::{families, Bicolored};
-
-/// Crash-free ELECT through the non-deprecated typed entry.
-fn run_elect(bc: &Bicolored, cfg: RunConfig) -> RunReport {
-    use qelect::elect::{elect_agents, ElectFault};
-    run_gated_faulty(
-        bc,
-        cfg,
-        &FaultPlan::none(),
-        elect_agents(bc.r(), ElectFault::default()),
-    )
-    .expect("gated run failed")
-}
 
 fn small_config(workers: usize) -> SweepConfig {
     SweepConfig {
@@ -213,7 +199,7 @@ fn petersen_counterexample_is_pinned() {
     assert_eq!(sizes, vec![2, 4, 4], "two black, the whites split 4+4");
     assert_eq!(oc.ell, 1, "both agents occupy one equivalence class");
 
-    let report = run_elect(&bc, RunConfig::default());
+    let report = run_election(&bc, &RunConfig::default()).unwrap().report;
     assert!(report.interrupted.is_none(), "{:?}", report.outcomes);
     assert!(!report.clean_election());
     assert!(report.unanimous_unsolvable(), "{:?}", report.outcomes);

@@ -13,28 +13,12 @@
 
 use proptest::prelude::*;
 use qelect::prelude::*;
-// These properties drive scheduler-level knobs (policies, explicit
-// seeds, bounded exploration), so they use the gated engine's own
-// config struct rather than the unified builder.
 use qelect::schedule::Schedule;
 use qelect::solvability::elect_succeeds;
-use qelect_agentsim::gated::RunConfig;
+use qelect_agentsim::gated;
 use qelect_graph::canon::are_isomorphic;
 use qelect_graph::surrounding::{gcd, ordered_classes};
 use qelect_graph::{automorphism, families, symmetricity, Bicolored, ColoredDigraph};
-
-/// Crash-free ELECT through the non-deprecated typed entry (shadows the
-/// deprecated `run_elect` shim re-exported by the prelude glob).
-fn run_elect(bc: &Bicolored, cfg: RunConfig) -> RunReport {
-    use qelect::elect::{elect_agents, ElectFault};
-    qelect_agentsim::gated::run_gated_faulty(
-        bc,
-        cfg,
-        &FaultPlan::none(),
-        elect_agents(bc.r(), ElectFault::default()),
-    )
-    .expect("gated run failed")
-}
 
 /// A random connected graph + placement strategy.
 fn instance_strategy() -> impl Strategy<Value = Bicolored> {
@@ -114,25 +98,30 @@ proptest! {
 
     #[test]
     fn map_drawing_reconstructs_instance(bc in instance_strategy(), seed in any::<u64>()) {
-        use qelect_agentsim::gated::{run_gated_faulty, GatedAgent};
-        use std::sync::mpsc;
-        let (tx, rx) = mpsc::channel();
-        let agents: Vec<GatedAgent> = (0..bc.r())
-            .map(|_| -> GatedAgent {
-                let tx = tx.clone();
-                Box::new(move |ctx| {
-                    let map = qelect::mapdraw::map_drawing(ctx)?;
-                    tx.send(map).ok();
-                    Ok(qelect_agentsim::AgentOutcome::Defeated)
-                })
-            })
-            .collect();
-        let cfg = RunConfig { seed, ..RunConfig::default() };
-        let report = run_gated_faulty(&bc, cfg, &FaultPlan::none(), agents)
-            .expect("gated run failed");
+        use qelect::map::AgentMap;
+        use qelect_agentsim::{AgentOutcome, Interrupt};
+        use std::sync::{Arc, Mutex};
+        /// Map drawing alone; every agent hands its map to the collector.
+        #[derive(Clone, Default)]
+        struct DrawMap(Arc<Mutex<Vec<AgentMap>>>);
+        impl Protocol for DrawMap {
+            async fn run_async<C: MobileCtxAsync>(
+                &self,
+                ctx: &mut C,
+            ) -> Result<AgentOutcome, Interrupt> {
+                let map = qelect::mapdraw::map_drawing_async(ctx).await?;
+                self.0.lock().unwrap().push(map);
+                Ok(AgentOutcome::Defeated)
+            }
+        }
+        let protocol = DrawMap::default();
+        let report = qelect_agentsim::run(&bc, &RunConfig::new(seed), &protocol)
+            .expect("run failed")
+            .report;
         prop_assert!(report.interrupted.is_none());
-        drop(tx);
-        for map in rx {
+        let maps = std::mem::take(&mut *protocol.0.lock().unwrap());
+        prop_assert_eq!(maps.len(), bc.r());
+        for map in maps {
             let drawn = map.to_bicolored();
             let a = ColoredDigraph::from_bicolored(&drawn);
             let b = ColoredDigraph::from_bicolored(&bc);
@@ -142,7 +131,7 @@ proptest! {
 
     #[test]
     fn elect_matches_oracle_on_random_instances(bc in instance_strategy(), seed in any::<u64>()) {
-        let report = run_elect(&bc, RunConfig { seed, ..RunConfig::default() });
+        let report = run_election(&bc, &RunConfig::new(seed)).unwrap().report;
         let expected = elect_succeeds(&bc);
         prop_assert!(report.interrupted.is_none(), "interrupted: {:?}", report.interrupted);
         if expected {
@@ -170,7 +159,7 @@ proptest! {
         let expected = elect_succeeds(&bc);
 
         for policy in [Policy::Lockstep, Policy::RoundRobin, Policy::GreedyLowest] {
-            let report = run_elect(&bc, RunConfig { seed, policy, ..RunConfig::default() });
+            let report = run_election(&bc, &RunConfig::new(seed).policy(policy)).unwrap().report;
             prop_assert!(report.interrupted.is_none(), "{policy:?} interrupted");
             prop_assert_eq!(
                 report.clean_election(), expected,
@@ -182,12 +171,9 @@ proptest! {
         }
 
         for k in 0..3u64 {
-            let cfg = RunConfig {
-                seed: seed ^ (k.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-                policy: Policy::Random,
-                ..RunConfig::default()
-            };
-            let report = run_elect(&bc, cfg);
+            let cfg = RunConfig::new(seed ^ (k.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
+                .policy(Policy::Random);
+            let report = run_election(&bc, &cfg).unwrap().report;
             prop_assert_eq!(
                 report.clean_election(), expected,
                 "random schedule #{} disagrees: {:?}", k, report.outcomes
@@ -201,7 +187,7 @@ proptest! {
             swarm_seed: seed,
             ..ExploreConfig::default()
         };
-        let report = explore_elect(&bc, RunConfig { seed, ..RunConfig::default() }, &ecfg);
+        let report = explore_elect(&bc, gated::RunConfig { seed, ..gated::RunConfig::default() }, &ecfg);
         prop_assert!(
             report.counterexample().is_none(),
             "exploration found a schedule disagreeing with the oracle: {:?}",
