@@ -211,7 +211,7 @@ fn simbench(inv: SimBenchInvocation) {
 
 fn canonbench(inv: CanonBenchInvocation) {
     println!(
-        "# Canonicalization kernel — {} instances × {} repeats, oracle vs worklist/pruned/incremental\n",
+        "# Canonicalization kernel — {} instances × {} repeats, oracle vs worklist/pruned\n",
         inv.config.instances.len(),
         inv.config.repeats,
     );

@@ -4,13 +4,10 @@
 //! One workload, two kernels: for every instance in the ladder the
 //! surrounding `S(0)` (Definition 3.1) is canonicalized cold by the
 //! frozen pre-worklist oracle ([`qelect_graph::oracle`]) and by the
-//! production kernel ([`qelect_graph::canon`]), and a sample of roots
-//! is canonicalized both per-root-cold and through the incremental
-//! hint chain (`canonicalize_traced` → `canonicalize_with_hint`).
-//! Because the kernels are byte-identical by contract (DESIGN §13), the
-//! benchmark doubles as a differential check: the oracle form, the cold
-//! form, and every hint-replayed form must agree exactly — including
-//! labelings, generators and orbits on the timed root — and any
+//! production kernel ([`qelect_graph::canon`]). Because the kernels are
+//! byte-identical by contract (DESIGN §13), the benchmark doubles as a
+//! differential check: the oracle and production results must agree
+//! exactly — forms, labelings, generators and orbits — and any
 //! disagreement fails the whole report.
 //!
 //! Numbers are a record of the machine that produced them (like
@@ -23,7 +20,7 @@
 use std::time::Instant;
 
 use qelect_agentsim::json;
-use qelect_graph::canon::{canonicalize, canonicalize_traced, canonicalize_with_hint};
+use qelect_graph::canon::canonicalize;
 use qelect_graph::oracle;
 use qelect_graph::surrounding::surrounding;
 use qelect_graph::Bicolored;
@@ -46,8 +43,6 @@ pub struct CanonBenchConfig {
     pub instances: Vec<AuditInstance>,
     /// Timed passes per measurement (the mean is reported).
     pub repeats: usize,
-    /// Roots sampled for the incremental-phase comparison.
-    pub incr_roots: usize,
 }
 
 impl Default for CanonBenchConfig {
@@ -55,7 +50,6 @@ impl Default for CanonBenchConfig {
         CanonBenchConfig {
             instances: Vec::new(),
             repeats: 3,
-            incr_roots: 8,
         }
     }
 }
@@ -73,18 +67,12 @@ pub struct InstanceCanonBench {
     pub oracle_ms: f64,
     /// Mean cold canonicalization of `S(0)` by the production kernel, ms.
     pub cold_ms: f64,
-    /// Roots in the incremental sample.
-    pub incr_roots: usize,
-    /// Mean per-root-cold canonicalization of the sampled roots, ms.
-    pub incr_cold_ms: f64,
-    /// Mean hint-chained canonicalization of the same roots, ms.
-    pub incr_ms: f64,
     /// Leaves the production search visited on `S(0)`.
     pub leaves: usize,
     /// Subtrees the quotient lower bound cut on `S(0)`.
     pub pruned: usize,
-    /// Oracle, cold and hint-replayed results agreed byte-for-byte
-    /// (forms everywhere; labelings, generators and orbits on `S(0)`).
+    /// Oracle and production results on `S(0)` agreed byte-for-byte
+    /// (forms, labelings, generators and orbits).
     pub identical: bool,
 }
 
@@ -93,15 +81,6 @@ impl InstanceCanonBench {
     pub fn cold_speedup(&self) -> f64 {
         if self.cold_ms > 0.0 {
             self.oracle_ms / self.cold_ms
-        } else {
-            0.0
-        }
-    }
-
-    /// Per-root-cold over hint-chained ratio on the sampled roots.
-    pub fn incr_speedup(&self) -> f64 {
-        if self.incr_ms > 0.0 {
-            self.incr_cold_ms / self.incr_ms
         } else {
             0.0
         }
@@ -166,8 +145,6 @@ impl CanonBenchReport {
             "oracle ms",
             "cold ms",
             "speedup",
-            "incr ms",
-            "incr speedup",
             "leaves",
             "pruned",
             "identical",
@@ -180,8 +157,6 @@ impl CanonBenchReport {
                 format!("{:.3}", i.oracle_ms),
                 format!("{:.3}", i.cold_ms),
                 format!("{:.1}x", i.cold_speedup()),
-                format!("{:.3}", i.incr_ms),
-                format!("{:.1}x", i.incr_speedup()),
                 i.leaves.to_string(),
                 i.pruned.to_string(),
                 i.identical.to_string(),
@@ -209,8 +184,7 @@ impl CanonBenchReport {
         for (idx, i) in self.instances.iter().enumerate() {
             s.push_str(&format!(
                 "    {{\"key\": {}, \"n\": {}, \"arcs\": {}, \"oracle_ms\": {:.4}, \
-                 \"cold_ms\": {:.4}, \"cold_speedup\": {:.2}, \"incr_roots\": {}, \
-                 \"incr_cold_ms\": {:.4}, \"incr_ms\": {:.4}, \"incr_speedup\": {:.2}, \
+                 \"cold_ms\": {:.4}, \"cold_speedup\": {:.2}, \
                  \"leaves\": {}, \"pruned\": {}, \"identical\": {}}}{}\n",
                 json::escape(&i.key),
                 i.n,
@@ -218,10 +192,6 @@ impl CanonBenchReport {
                 i.oracle_ms,
                 i.cold_ms,
                 i.cold_speedup(),
-                i.incr_roots,
-                i.incr_cold_ms,
-                i.incr_ms,
-                i.incr_speedup(),
                 i.leaves,
                 i.pruned,
                 i.identical,
@@ -272,56 +242,19 @@ pub fn run_canonbench(cfg: &CanonBenchConfig) -> CanonBenchReport {
         let bc = Bicolored::new(inst.graph.clone(), &inst.agents).expect("valid instance");
         let d0 = surrounding(&bc, 0);
 
-        // Differential pass (untimed): full byte-identity on S(0) …
+        // Differential pass (untimed): full byte-identity on S(0).
         let slow = oracle::canonicalize(&d0);
         let fast = canonicalize(&d0);
-        let mut identical = slow.form == fast.form
+        let identical = slow.form == fast.form
             && slow.labeling == fast.labeling
             && slow.generators == fast.generators
             && slow.orbits == fast.orbits;
-
-        // … and form identity per sampled root, cold vs hint-chained.
-        let roots: Vec<usize> = (0..bc.n().min(cfg.incr_roots.max(1))).collect();
-        let mut hint = None;
-        for &u in &roots {
-            let s = surrounding(&bc, u);
-            let cold_form = canonicalize(&s).form;
-            let warm_form = match &hint {
-                None => {
-                    let (res, h) = canonicalize_traced(&s);
-                    hint = Some(h);
-                    res.form
-                }
-                Some(h) => canonicalize_with_hint(&s, h).form,
-            };
-            identical = identical && cold_form == warm_form;
-        }
 
         let oracle_ms = timed_ms(cfg.repeats, || {
             let _ = oracle::canonicalize(&d0);
         });
         let cold_ms = timed_ms(cfg.repeats, || {
             let _ = canonicalize(&d0);
-        });
-        let incr_cold_ms = timed_ms(cfg.repeats, || {
-            for &u in &roots {
-                let _ = canonicalize(&surrounding(&bc, u));
-            }
-        });
-        let incr_ms = timed_ms(cfg.repeats, || {
-            let mut hint = None;
-            for &u in &roots {
-                let s = surrounding(&bc, u);
-                match &hint {
-                    None => {
-                        let (_, h) = canonicalize_traced(&s);
-                        hint = Some(h);
-                    }
-                    Some(h) => {
-                        let _ = canonicalize_with_hint(&s, h);
-                    }
-                }
-            }
         });
 
         instances.push(InstanceCanonBench {
@@ -330,9 +263,6 @@ pub fn run_canonbench(cfg: &CanonBenchConfig) -> CanonBenchReport {
             arcs: d0.arc_count(),
             oracle_ms,
             cold_ms,
-            incr_roots: roots.len(),
-            incr_cold_ms,
-            incr_ms,
             leaves: fast.leaves_visited,
             pruned: fast.pruned_branches,
             identical,
@@ -364,7 +294,6 @@ mod tests {
                 },
             ],
             repeats: 1,
-            incr_roots: 4,
         }
     }
 
@@ -375,7 +304,6 @@ mod tests {
         for i in &report.instances {
             assert!(i.identical, "{} diverged", i.key);
             assert!(i.oracle_ms > 0.0 && i.cold_ms > 0.0, "{}", i.key);
-            assert_eq!(i.incr_roots, 4);
         }
         assert_eq!(report.largest().unwrap().n, 40);
     }

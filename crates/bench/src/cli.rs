@@ -152,8 +152,8 @@
 //! The `canonbench` subcommand runs the canonicalization-kernel
 //! benchmark (see [`crate::canonbench`]): cold canonicalization of the
 //! surrounding `S(0)` timed on the frozen pre-worklist oracle and on
-//! the production kernel, plus a per-root cold-vs-incremental phase,
-//! with a built-in byte-identity check between all three paths:
+//! the production kernel, with a built-in byte-identity check between
+//! the two:
 //!
 //! ```text
 //! qelectctl canonbench [spec[@a0,a1,…]…] [options]
@@ -161,7 +161,6 @@
 //! specs:     instances to time (default: a Cayley ladder — circulants
 //!            to n=512, an 8×8 torus, Q6, a wrapped butterfly)
 //! options:   --repeats N           timed passes per measurement (default 3)
-//!            --incr-roots N        roots in the incremental phase (default 8)
 //!            --json PATH           report path (default BENCH_canon.json)
 //! ```
 //!
@@ -981,16 +980,6 @@ pub fn parse_canonbench(args: &[String]) -> Result<CanonBenchInvocation, ParseEr
                 config.repeats = parse_usize(v, "repeat count")?;
                 if config.repeats == 0 {
                     return err("--repeats must be at least 1");
-                }
-            }
-            "--incr-roots" => {
-                i += 1;
-                let v = args
-                    .get(i)
-                    .ok_or(ParseError("--incr-roots needs a value".into()))?;
-                config.incr_roots = parse_usize(v, "root count")?;
-                if config.incr_roots == 0 {
-                    return err("--incr-roots must be at least 1");
                 }
             }
             "--json" => {
@@ -1887,7 +1876,6 @@ mod tests {
             panic!("expected canonbench")
         };
         assert_eq!(inv.config.repeats, 3);
-        assert_eq!(inv.config.incr_roots, 8);
         assert_eq!(inv.json, "BENCH_canon.json");
         assert_eq!(
             inv.config.instances.len(),
@@ -1902,15 +1890,13 @@ mod tests {
             "the ladder tops out at circulant:512"
         );
         let cmd = parse_command(&argv(
-            "canonbench circulant:34:1,3@0,17 torus:4x4@0,1 --repeats 5 \
-             --incr-roots 2 --json C.json",
+            "canonbench circulant:34:1,3@0,17 torus:4x4@0,1 --repeats 5 --json C.json",
         ))
         .unwrap();
         let Command::Canonbench(inv) = cmd else {
             panic!("expected canonbench")
         };
         assert_eq!(inv.config.repeats, 5);
-        assert_eq!(inv.config.incr_roots, 2);
         assert_eq!(inv.json, "C.json");
         let keys: Vec<String> = inv.config.instances.iter().map(|i| i.key()).collect();
         assert_eq!(keys, vec!["circulant:34:1,3@0,17", "torus:4x4@0,1"]);
@@ -1919,7 +1905,7 @@ mod tests {
     #[test]
     fn canonbench_rejects_nonsense() {
         assert!(parse_command(&argv("canonbench --repeats 0")).is_err());
-        assert!(parse_command(&argv("canonbench --incr-roots 0")).is_err());
+        assert!(parse_command(&argv("canonbench --incr-roots 8")).is_err());
         assert!(parse_command(&argv("canonbench nosuch:5")).is_err());
         assert!(parse_command(&argv("canonbench --frobnicate")).is_err());
     }

@@ -43,8 +43,7 @@
 //!
 //! **Instance-affine shards** — with `--shards N` the daemon runs N
 //! in-process shards, each owning its own admission queue, worker
-//! pool and prepared-instance map; every worker owns an incremental
-//! [`CanonSession`].
+//! pool and prepared-instance map.
 //! Requests are routed by the *canonical* fingerprint of their
 //! instance (isomorphic presentations share one canonical form, so
 //! they land on the same shard), which keeps warm per-instance state
@@ -83,7 +82,6 @@
 //! [`qelect-request/1`]: qelect_agentsim::json::envelope::REQUEST
 //! [`qelect-response/1`]: qelect_agentsim::json::envelope::RESPONSE
 //! [`PreparedElection`]: qelect::service::PreparedElection
-//! [`CanonSession`]: qelect_graph::cache::CanonSession
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -99,7 +97,7 @@ use qelect_agentsim::json::{self, envelope, escape, get, Value};
 use qelect_agentsim::registry::ProtocolEntry;
 use qelect_agentsim::sched::Policy;
 use qelect_agentsim::{Engine, FaultPlan, FaultSummary, RunConfig};
-use qelect_graph::cache::{self as gcache, CanonSession};
+use qelect_graph::cache as gcache;
 use qelect_graph::ColoredDigraph;
 
 use crate::spec::InstanceSpec;
@@ -718,15 +716,10 @@ impl Daemon {
     /// call waited for it (0 when it was already prepared). The map lock
     /// covers only fetching or inserting the spec's [`PreparedCell`];
     /// the first caller prepares through the cell — warming the
-    /// canonical-form cache through `session`, recording the spec in the
+    /// canonical-form cache, recording the spec in the
     /// durable store, and computing the oracle verdict — while
     /// concurrent callers for the same spec wait on the cell alone.
-    fn prepared_on(
-        &self,
-        shard_idx: usize,
-        spec: &InstanceSpec,
-        session: &mut CanonSession,
-    ) -> (PreparedCell, u64) {
+    fn prepared_on(&self, shard_idx: usize, spec: &InstanceSpec) -> (PreparedCell, u64) {
         let key = spec.key();
         let cell = {
             let mut instances = self.shards[shard_idx].instances.lock();
@@ -741,7 +734,7 @@ impl Daemon {
         let started = Instant::now();
         cell.get_or_init(|| {
             let bc = spec.bicolored().expect("placement validated at parse time");
-            let _ = gcache::canonicalize_cached_with(session, &ColoredDigraph::from_bicolored(&bc));
+            let _ = gcache::canonicalize_cached(&ColoredDigraph::from_bicolored(&bc));
             let prep = PreparedElection::new(bc);
             if let Some(store) = &self.store {
                 let _ = store.record_spec(&key);
@@ -757,8 +750,6 @@ impl Daemon {
     /// still emptied — that is the graceful part.
     fn worker_loop(&self, shard_idx: usize) {
         let shard = &self.shards[shard_idx];
-        // Incremental canonicalization hints chain within one worker.
-        let mut session = CanonSession::new();
         loop {
             let job = {
                 let mut queue = shard.queue.lock();
@@ -781,7 +772,7 @@ impl Daemon {
             if job.sleep_ms > 0 {
                 std::thread::sleep(Duration::from_millis(job.sleep_ms));
             }
-            let (cell, prepare_us) = self.prepared_on(shard_idx, &job.spec, &mut session);
+            let (cell, prepare_us) = self.prepared_on(shard_idx, &job.spec);
             let prepared = cell.get().expect("prepared_on fills the cell");
             let started = Instant::now();
             // Uniform dispatch through the registry entry: for the
@@ -1359,11 +1350,10 @@ pub fn start(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
     // Rebuild the prepared instances the previous incarnation served,
     // each on its affine shard (re-validated through the spec grammar —
     // the store's CRC protects bytes, not meaning).
-    let mut session = CanonSession::new();
     for spec_key in replayed_specs {
         if let Ok(spec) = InstanceSpec::parse(&spec_key) {
             if spec.bicolored().is_ok() {
-                let _ = daemon.prepared_on(daemon.shard_of(&spec), &spec, &mut session);
+                let _ = daemon.prepared_on(daemon.shard_of(&spec), &spec);
             }
         }
     }

@@ -269,6 +269,24 @@ mod tests {
     }
 
     #[test]
+    fn overflowing_family_sizes_are_typed_errors() {
+        for spec in [
+            "tree:64",
+            "tree:70@0,5",
+            "tree:18446744073709551615",
+            "star:18446744073709551615",
+            "grid:4294967296x4294967297",
+            "torus:4294967296x4294967296",
+            "gp:9223372036854775808:1",
+        ] {
+            assert!(
+                matches!(InstanceSpec::parse(spec), Err(SpecError::Family { .. })),
+                "{spec}"
+            );
+        }
+    }
+
+    #[test]
     fn instance_spec_roundtrips_through_key() {
         let spec = InstanceSpec::parse("circulant:12:1,3@0,1,3").unwrap();
         assert_eq!(spec.family(), "circulant");

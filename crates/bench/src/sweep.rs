@@ -27,7 +27,7 @@ use crossbeam::channel::unbounded;
 use parking_lot::Mutex;
 use qelect::prelude::*;
 use qelect_agentsim::sched::Policy;
-use qelect_graph::cache::{self, ordered_classes_cached_with, CacheStats, CanonSession};
+use qelect_graph::cache::{self, ordered_classes_cached, CacheStats};
 use qelect_graph::{families, Bicolored};
 
 use crate::{header, row};
@@ -216,21 +216,6 @@ impl SweepReport {
 /// the indices, so the outcome is identical no matter which worker
 /// executes it or what the memo cache contains.
 pub fn run_trial(cfg: &SweepConfig, bi: usize, t: usize) -> TrialOutcome {
-    run_trial_with(cfg, bi, t, &mut CanonSession::new())
-}
-
-/// [`run_trial`] with a caller-owned [`CanonSession`]: the oracle's
-/// canonicalization replays the previous trial's root refinement when
-/// the instances are close. Sessions change speed, never outcomes
-/// (`ordered_classes_cached_with` is byte-identical to the session-free
-/// path), so trial purity — and therefore the N-worker aggregate
-/// equality — is untouched by how trials are dealt to sessions.
-pub fn run_trial_with(
-    cfg: &SweepConfig,
-    bi: usize,
-    t: usize,
-    session: &mut CanonSession,
-) -> TrialOutcome {
     let bucket = &cfg.buckets[bi];
     let seed = cfg.seed0 + (bi * 1_000 + t) as u64;
     let span = bucket.n_hi - bucket.n_lo;
@@ -252,8 +237,8 @@ pub fn run_trial_with(
         };
     }
     let bc = Bicolored::new(g, &homes).expect("collision-free placement");
-    // The gcd oracle (Theorem 3.1) through the worker's session.
-    let expected = ordered_classes_cached_with(session, &bc).gcd_of_sizes() == 1;
+    // The gcd oracle (Theorem 3.1).
+    let expected = ordered_classes_cached(&bc).gcd_of_sizes() == 1;
     let mut agree = true;
     let mut ratio_sum = 0.0f64;
     for rep in 0..cfg.repeats.max(1) {
@@ -347,16 +332,12 @@ pub fn run_sweep(cfg: &SweepConfig) -> SweepReport {
             let tx = tx.clone();
             let cfg = &*cfg;
             scope.spawn(move || {
-                // One incremental-canonicalization session per worker:
-                // consecutive trials on a worker replay each other's
-                // root refinements (speed only — outcomes are pure).
-                let mut session = CanonSession::new();
                 loop {
                     match pool.take(me) {
                         Some(task) => {
                             let bi = task / cfg.trials;
                             let t = task % cfg.trials;
-                            let outcome = run_trial_with(cfg, bi, t, &mut session);
+                            let outcome = run_trial(cfg, bi, t);
                             pool.done_one();
                             if tx.send((task, outcome)).is_err() {
                                 return; // collector gone — abandon ship

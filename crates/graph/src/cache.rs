@@ -43,13 +43,11 @@ use std::sync::{Arc, OnceLock};
 use parking_lot::Mutex;
 
 use crate::bicolored::Bicolored;
-use crate::canon::{
-    canonicalize, canonicalize_traced, canonicalize_with_hint, CanonHint, CanonResult,
-};
+use crate::canon::{canonicalize, CanonResult};
 use crate::digraph::ColoredDigraph;
 use crate::graph::{Graph, GraphBuilder};
 use crate::surrounding::{
-    ordered_classes, ordered_classes_with_orbits, EquivClass, OrderedClasses, INCREMENTAL_MIN_N,
+    ordered_classes, ordered_classes_with_orbits, EquivClass, OrderedClasses,
 };
 
 /// A structural fingerprint function over an encoded key.
@@ -508,48 +506,16 @@ pub fn global() -> &'static GraphCaches {
     GLOBAL.get_or_init(GraphCaches::new)
 }
 
-/// Per-worker incremental-canonicalization state for sweep-style
-/// workloads: a chain of near-identical instances (consecutive trials
-/// move a few home-bases on one family) where each cold
-/// canonicalization can replay the *previous* instance's recorded root
-/// refinement ([`CanonHint`]) instead of refining from scratch.
-///
-/// A session affects only *speed*: every result it produces is
-/// byte-identical to the cold path (`canonicalize_with_hint`'s
-/// contract), so sweep aggregates stay bit-identical for any worker
-/// count and any hint-chain interleaving. Sessions are single-threaded
-/// by design — each sweep worker owns one.
+/// A field-less token kept only so the `perfbench` replay harness,
+/// which names it, keeps building; it carries no state and changes
+/// nothing. See [`canonicalize_cached_with`].
 #[derive(Default)]
-pub struct CanonSession {
-    hint: Option<CanonHint>,
-}
+pub struct CanonSession;
 
 impl CanonSession {
-    /// A fresh session with no recorded parent.
+    /// The (stateless) session token.
     pub fn new() -> Self {
-        CanonSession { hint: None }
-    }
-
-    /// Whether the session currently holds a replayable hint.
-    pub fn has_hint(&self) -> bool {
-        self.hint.is_some()
-    }
-
-    /// Session-local canonicalization: replay the held hint when the
-    /// instance size matches, otherwise canonicalize traced and adopt
-    /// the new hint. Small instances skip the hint machinery entirely.
-    fn compute(&mut self, d: &ColoredDigraph) -> CanonResult {
-        if d.n() < INCREMENTAL_MIN_N {
-            return canonicalize(d);
-        }
-        if let Some(h) = &self.hint {
-            if h.n() == d.n() {
-                return canonicalize_with_hint(d, h);
-            }
-        }
-        let (res, hint) = canonicalize_traced(d);
-        self.hint = Some(hint);
-        res
+        CanonSession
     }
 }
 
@@ -575,31 +541,13 @@ fn canon_insert(
     }
 }
 
-/// [`canonicalize_cached`] with a per-worker [`CanonSession`]: global
-/// cache first, session-incremental compute on a miss.
+/// [`canonicalize_cached`] under the name the `perfbench` replay
+/// harness calls; it exists only for perfbench and ignores `_session`.
 pub fn canonicalize_cached_with(
-    session: &mut CanonSession,
+    _session: &mut CanonSession,
     d: &ColoredDigraph,
 ) -> Arc<CanonResult> {
-    let caches = global();
-    if !caches.is_enabled() {
-        return Arc::new(canonicalize(d));
-    }
-    canon_insert(caches, encode_digraph(d), || session.compute(d))
-}
-
-/// [`ordered_classes_cached`] with a per-worker [`CanonSession`]: the
-/// canonical-representative lookup's cold canonicalization goes through
-/// the session's incremental path. Byte-identical to both the
-/// session-free and the uncached entry points.
-pub fn ordered_classes_cached_with(session: &mut CanonSession, bc: &Bicolored) -> OrderedClasses {
-    let caches = global();
-    if !caches.is_enabled() {
-        return ordered_classes(bc);
-    }
-    let d = ColoredDigraph::from_bicolored(bc);
-    let canon = canon_insert(caches, encode_digraph(&d), || session.compute(&d));
-    translate_classes(bc, &canon)
+    canonicalize_cached(d)
 }
 
 /// [`canonicalize`] through the global memo cache.
@@ -801,35 +749,6 @@ mod tests {
     }
 
     #[test]
-    fn session_classes_match_sessionless_and_eager() {
-        // Chain several near-identical instances through one session;
-        // every result must equal both the session-free cached path and
-        // the eager path. Use a large cycle so the session actually
-        // exercises the hint machinery (n >= INCREMENTAL_MIN_N).
-        let mut session = CanonSession::new();
-        for homes in [vec![0usize, 17], vec![0, 16], vec![1, 18], vec![0, 5, 11]] {
-            let bc = instance(34, &homes);
-            let with = ordered_classes_cached_with(&mut session, &bc);
-            let without = ordered_classes_cached(&bc);
-            let eager = ordered_classes(&bc);
-            assert_eq!(with.ell, eager.ell);
-            assert_eq!(with.k(), eager.k());
-            for ((a, b), c) in with
-                .classes
-                .iter()
-                .zip(without.classes.iter())
-                .zip(eager.classes.iter())
-            {
-                assert_eq!(a.nodes, b.nodes);
-                assert_eq!(a.nodes, c.nodes);
-                assert_eq!(a.form, c.form);
-                assert_eq!(a.black, c.black);
-            }
-        }
-        assert!(session.has_hint(), "large instances seed the hint");
-    }
-
-    #[test]
     fn session_canonicalize_matches_cold() {
         let mut session = CanonSession::new();
         for homes in [vec![0usize, 17], vec![2, 19]] {
@@ -841,14 +760,6 @@ mod tests {
             assert_eq!(warm.labeling, cold.labeling);
             assert_eq!(warm.orbits, cold.orbits);
         }
-    }
-
-    #[test]
-    fn small_instances_skip_the_hint() {
-        let mut session = CanonSession::new();
-        let bc = instance(6, &[0, 3]);
-        let _ = ordered_classes_cached_with(&mut session, &bc);
-        assert!(!session.has_hint(), "below INCREMENTAL_MIN_N stays cold");
     }
 
     #[test]

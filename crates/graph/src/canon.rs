@@ -27,11 +27,8 @@
 //! Exactness is cross-checked in the test-suite against a brute-force
 //! permutation search on small digraphs.
 
-use crate::digraph::{Arc, ColoredDigraph};
-use crate::refine::{
-    refine_individualized, refine_to_stable, refine_to_stable_replay, refine_to_stable_traced,
-    Partition, RefineTrace,
-};
+use crate::digraph::ColoredDigraph;
+use crate::refine::{refine_individualized, refine_to_stable, Partition};
 
 /// Union-find over node ids, used for orbit bookkeeping.
 #[derive(Debug, Clone)]
@@ -351,11 +348,6 @@ pub fn canonicalize(d: &ColoredDigraph) -> CanonResult {
 pub fn canonicalize_with_cap(d: &ColoredDigraph, leaf_cap: usize) -> CanonResult {
     let initial = Partition::from_keys(d.node_colors());
     let root = refine_to_stable(d, Some(initial));
-    run_search(d, &root, leaf_cap)
-}
-
-/// Run the IR search from an already-stable root partition.
-fn run_search(d: &ColoredDigraph, root: &Partition, leaf_cap: usize) -> CanonResult {
     let mut search = Search {
         d,
         first: None,
@@ -368,7 +360,7 @@ fn run_search(d: &ColoredDigraph, root: &Partition, leaf_cap: usize) -> CanonRes
         pruned: 0,
     };
     let mut prefix = Vec::new();
-    search.recurse(root, &mut prefix);
+    search.recurse(&root, &mut prefix);
     let (word, labeling) = search.best.expect("at least one leaf");
     let mut dsu = Dsu::new(d.n());
     for g in &search.generators {
@@ -387,103 +379,6 @@ fn run_search(d: &ColoredDigraph, root: &Partition, leaf_cap: usize) -> CanonRes
         leaves_visited: search.leaves,
         pruned_branches: search.pruned,
     }
-}
-
-/// A reusable starting point for canonicalizing instances nearly
-/// identical to a previously canonicalized one (sweep workloads: the
-/// surroundings of consecutive roots of the same bi-colored graph, or
-/// consecutive trials that move one home-base). Produced by
-/// [`canonicalize_traced`], consumed by [`canonicalize_with_hint`].
-#[derive(Debug, Clone)]
-pub struct CanonHint {
-    colors: Vec<u64>,
-    arcs: Vec<Arc>,
-    trace: RefineTrace,
-}
-
-impl CanonHint {
-    /// Number of nodes of the instance that produced this hint.
-    pub fn n(&self) -> usize {
-        self.colors.len()
-    }
-
-    /// Productive refinement rounds recorded in the hint.
-    pub fn rounds(&self) -> usize {
-        self.trace.rounds()
-    }
-}
-
-/// [`canonicalize`], also returning a [`CanonHint`] that lets sibling
-/// instances replay this instance's root refinement incrementally.
-pub fn canonicalize_traced(d: &ColoredDigraph) -> (CanonResult, CanonHint) {
-    let initial = Partition::from_keys(d.node_colors());
-    let (root, trace) = refine_to_stable_traced(d, Some(initial));
-    let result = run_search(d, &root, usize::MAX);
-    let hint = CanonHint {
-        colors: d.node_colors().to_vec(),
-        arcs: d.arcs().to_vec(),
-        trace,
-    };
-    (result, hint)
-}
-
-/// Canonicalize `d` reusing `hint`'s recorded root refinement: nodes
-/// whose color or incident arcs differ from the hint's instance are
-/// marked dirty, and the root refinement replays the recorded rounds
-/// outside the dirty light cone instead of re-sorting every cell
-/// ([`refine_to_stable_replay`]). The result is **byte-identical** to
-/// [`canonicalize`] on every input — a hint from an unrelated instance
-/// only costs speed (the replay degrades to a cold refinement).
-pub fn canonicalize_with_hint(d: &ColoredDigraph, hint: &CanonHint) -> CanonResult {
-    if d.n() != hint.colors.len() {
-        return canonicalize(d);
-    }
-    let dirty = dirty_nodes(d, hint);
-    let initial = Partition::from_keys(d.node_colors());
-    let root = refine_to_stable_replay(d, Some(initial), &hint.trace, &dirty);
-    run_search(d, &root, usize::MAX)
-}
-
-/// Nodes of `d` that differ from the hint's instance: changed color, or
-/// endpoint of an arc present in exactly one of the two (sorted) arc
-/// lists.
-fn dirty_nodes(d: &ColoredDigraph, hint: &CanonHint) -> Vec<bool> {
-    let n = d.n();
-    let mut dirty = vec![false; n];
-    for (v, flag) in dirty.iter_mut().enumerate() {
-        if d.node_color(v) != hint.colors[v] {
-            *flag = true;
-        }
-    }
-    let (xs, ys) = (d.arcs(), &hint.arcs[..]);
-    let (mut i, mut j) = (0, 0);
-    let mut mark = |a: &Arc| {
-        dirty[a.from as usize] = true;
-        dirty[a.to as usize] = true;
-    };
-    while i < xs.len() && j < ys.len() {
-        match xs[i].cmp(&ys[j]) {
-            std::cmp::Ordering::Equal => {
-                i += 1;
-                j += 1;
-            }
-            std::cmp::Ordering::Less => {
-                mark(&xs[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                mark(&ys[j]);
-                j += 1;
-            }
-        }
-    }
-    for a in &xs[i..] {
-        mark(a);
-    }
-    for a in &ys[j..] {
-        mark(a);
-    }
-    dirty
 }
 
 /// A cheap isomorphism invariant: the stable partition's per-cell
@@ -626,6 +521,7 @@ pub fn group_order(n: usize, generators: &[Vec<usize>], cap: usize) -> Option<us
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::digraph::Arc;
 
     fn cycle_digraph(n: usize) -> ColoredDigraph {
         let mut arcs = Vec::new();
@@ -842,39 +738,6 @@ mod tests {
             assert_eq!(fast.leaves_visited, slow.leaves_visited, "cap={cap}");
             assert_eq!(fast.generators, slow.generators, "cap={cap}");
         }
-    }
-
-    #[test]
-    fn hint_replay_is_byte_identical_to_cold() {
-        // Parent: C12 with homes {0, 6}; siblings move one home around.
-        let arcs = cycle_digraph(12).arcs().to_vec();
-        let mut colors = vec![0u64; 12];
-        colors[0] = 1;
-        colors[6] = 1;
-        let parent = ColoredDigraph::new(colors, arcs.clone());
-        let (parent_res, hint) = canonicalize_traced(&parent);
-        assert_eq!(parent_res.form, canonicalize(&parent).form);
-        assert!(hint.n() == 12);
-        for moved in [5, 7, 9] {
-            let mut c = vec![0u64; 12];
-            c[0] = 1;
-            c[moved] = 1;
-            let child = ColoredDigraph::new(c, arcs.clone());
-            let warm = canonicalize_with_hint(&child, &hint);
-            let cold = canonicalize(&child);
-            assert_eq!(warm.form, cold.form, "moved={moved}");
-            assert_eq!(warm.labeling, cold.labeling, "moved={moved}");
-            assert_eq!(warm.generators, cold.generators, "moved={moved}");
-            assert_eq!(warm.orbits, cold.orbits, "moved={moved}");
-        }
-    }
-
-    #[test]
-    fn hint_with_wrong_size_falls_back_to_cold() {
-        let (_, hint) = canonicalize_traced(&cycle_digraph(6));
-        let other = cycle_digraph(7);
-        let r = canonicalize_with_hint(&other, &hint);
-        assert_eq!(r.form, canonicalize(&other).form);
     }
 
     #[test]

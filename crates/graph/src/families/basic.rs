@@ -72,7 +72,10 @@ pub fn star(leaves: usize) -> Result<Graph, GraphError> {
     if leaves == 0 {
         return Err(GraphError::BadParameter("star needs >= 1 leaf".into()));
     }
-    let mut b = GraphBuilder::new(leaves + 1);
+    let n = leaves.checked_add(1).ok_or_else(|| {
+        GraphError::BadParameter(format!("star leaf count {leaves} overflows the node count"))
+    })?;
+    let mut b = GraphBuilder::new(n);
     for leaf in 1..=leaves {
         b.add_edge_with_ports(0, leaf, Port((leaf - 1) as u32), Port(0))?;
     }
@@ -84,10 +87,13 @@ pub fn grid(w: usize, h: usize) -> Result<Graph, GraphError> {
     if w == 0 || h == 0 {
         return Err(GraphError::BadParameter("grid needs w, h >= 1".into()));
     }
-    if w * h == 1 {
+    let n = w.checked_mul(h).ok_or_else(|| {
+        GraphError::BadParameter(format!("grid {w}x{h} overflows the node count"))
+    })?;
+    if n == 1 {
         return GraphBuilder::new(1).finish_unchecked_connectivity();
     }
-    let mut b = GraphBuilder::new(w * h);
+    let mut b = GraphBuilder::new(n);
     let id = |x: usize, y: usize| y * w + x;
     for y in 0..h {
         for x in 0..w {
@@ -123,7 +129,14 @@ pub fn complete_bipartite(m: usize, n: usize) -> Result<Graph, GraphError> {
 
 /// The complete binary tree of the given depth (depth 0 = single root).
 pub fn binary_tree(depth: usize) -> Result<Graph, GraphError> {
-    let n = (1usize << (depth + 1)) - 1;
+    let n = u32::try_from(depth)
+        .ok()
+        .and_then(|d| d.checked_add(1))
+        .and_then(|levels| 1usize.checked_shl(levels))
+        .map(|pow| pow - 1)
+        .ok_or_else(|| {
+            GraphError::BadParameter(format!("tree depth {depth} overflows the node count"))
+        })?;
     if n == 1 {
         return GraphBuilder::new(1).finish_unchecked_connectivity();
     }
@@ -217,5 +230,31 @@ mod tests {
         assert_eq!(g.m(), 6);
         assert_eq!(g.degree(0), 2);
         assert_eq!(g.degree(3), 1);
+    }
+
+    fn overflow_names(r: Result<Graph, GraphError>, param: &str) {
+        match r {
+            Err(GraphError::BadParameter(msg)) => assert!(msg.contains(param), "{msg}"),
+            other => panic!("expected a BadParameter naming {param}, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn star_rejects_overflowing_leaf_count() {
+        overflow_names(star(usize::MAX), "leaf count");
+    }
+
+    #[test]
+    fn grid_rejects_overflowing_node_count() {
+        overflow_names(grid(1 << 32, (1 << 32) + 1), "grid");
+        overflow_names(grid(usize::MAX, 2), "grid");
+    }
+
+    #[test]
+    fn binary_tree_rejects_overflowing_depth() {
+        for depth in [63, 64, 70, usize::MAX] {
+            overflow_names(binary_tree(depth), "depth");
+        }
+        assert_eq!(binary_tree(3).unwrap().n(), 15);
     }
 }

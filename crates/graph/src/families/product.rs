@@ -46,19 +46,18 @@ pub fn torus(dims: &[usize]) -> Result<Graph, GraphError> {
             "torus dimensions must each be >= 3".into(),
         ));
     }
-    let n: usize = dims.iter().product();
+    // Mixed-radix encoding: coordinate i has stride prod(dims[..i]),
+    // and the full product is the node count.
+    let mut strides = Vec::with_capacity(dims.len());
+    let mut n = 1usize;
+    for &d in dims {
+        strides.push(n);
+        n = n.checked_mul(d).ok_or_else(|| {
+            GraphError::BadParameter(format!("torus dims {dims:?} overflow the node count"))
+        })?;
+    }
     let mut b = GraphBuilder::new(n);
 
-    // Mixed-radix encoding: coordinate i has stride prod(dims[..i]).
-    let strides: Vec<usize> = {
-        let mut s = Vec::with_capacity(dims.len());
-        let mut acc = 1;
-        for &d in dims {
-            s.push(acc);
-            acc *= d;
-        }
-        s
-    };
     let coord = |v: usize, i: usize| (v / strides[i]) % dims[i];
     let with_coord = |v: usize, i: usize, c: usize| {
         let old = coord(v, i);
@@ -130,5 +129,15 @@ mod tests {
     #[test]
     fn torus_vertex_transitive() {
         assert!(torus(&[3, 3]).unwrap().is_vertex_transitive());
+    }
+
+    #[test]
+    fn torus_rejects_overflowing_dims() {
+        for dims in [vec![1 << 32, 1 << 32], vec![usize::MAX, 3]] {
+            match torus(&dims) {
+                Err(GraphError::BadParameter(msg)) => assert!(msg.contains("torus dims"), "{msg}"),
+                other => panic!("{dims:?}: expected BadParameter, got {other:?}"),
+            }
+        }
     }
 }

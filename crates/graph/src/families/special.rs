@@ -24,10 +24,14 @@ pub fn generalized_petersen(n: usize, k: usize) -> Result<Graph, GraphError> {
     if n < 3 {
         return Err(GraphError::BadParameter("GP needs n >= 3".into()));
     }
-    if k == 0 || 2 * k >= n {
+    // A `2k` past `usize::MAX` is certainly `>= n`.
+    if k == 0 || k.checked_mul(2).is_none_or(|k2| k2 >= n) {
         return Err(GraphError::BadParameter("GP needs 1 <= k < n/2".into()));
     }
-    let mut b = GraphBuilder::new(2 * n);
+    let nodes = n
+        .checked_mul(2)
+        .ok_or_else(|| GraphError::BadParameter(format!("GP n {n} overflows the node count")))?;
+    let mut b = GraphBuilder::new(nodes);
     for i in 0..n {
         // Outer cycle.
         b.add_edge_with_ports(i, (i + 1) % n, Port(0), Port(1))?;
@@ -138,5 +142,18 @@ mod tests {
         let g = fig2c_gadget().unwrap();
         let bc = Bicolored::new(g, &[]).unwrap();
         assert_eq!(crate::view::view_partition(&bc).k, 1);
+    }
+
+    #[test]
+    fn generalized_petersen_rejects_overflowing_parameters() {
+        match generalized_petersen(1 << 63, 1) {
+            Err(GraphError::BadParameter(msg)) => assert!(msg.contains("GP n"), "{msg}"),
+            other => panic!("expected BadParameter, got {other:?}"),
+        }
+        // `2k` itself overflows: still the ordinary k-range error.
+        assert!(matches!(
+            generalized_petersen(7, usize::MAX),
+            Err(GraphError::BadParameter(_))
+        ));
     }
 }

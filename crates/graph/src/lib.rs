@@ -69,10 +69,7 @@ pub mod symmetricity;
 pub mod view;
 
 pub use bicolored::Bicolored;
-pub use cache::{
-    canonicalize_cached, canonicalize_cached_with, ordered_classes_cached,
-    ordered_classes_cached_with, CacheStats, CanonSession,
-};
+pub use cache::{canonicalize_cached, ordered_classes_cached, CacheStats};
 pub use digraph::ColoredDigraph;
 pub use error::GraphError;
 pub use graph::{End, Graph, GraphBuilder, Incidence, NodeId, Port};

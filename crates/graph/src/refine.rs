@@ -28,22 +28,14 @@
 //! to the original loop's for every input — the differential suite
 //! (`tests/differential_canon.rs`) pins this against the frozen oracle.
 //!
-//! Two entry points build on the worklist engine:
-//!
-//! * [`refine_individualized`] — the individualization-refinement fast
-//!   path: when the starting partition is a stable partition with one
-//!   vertex split off, only cells adjacent to that vertex's old cell can
-//!   split in round one, so the first round is seeded with that light
-//!   cone instead of every cell.
-//! * [`refine_to_stable_traced`] / [`refine_to_stable_replay`] — the
-//!   incremental path for sweeps over near-identical instances: the
-//!   traced run records every per-round split; a replay against a
-//!   *dirtied* sibling instance copies the recorded splits for every
-//!   cell that provably behaves as in the parent and recomputes only
-//!   inside the light cone of the dirty nodes.
+//! [`refine_individualized`] builds on the worklist engine as the
+//! individualization-refinement fast path: when the starting partition
+//! is a stable partition with one vertex split off, only cells adjacent
+//! to that vertex's old cell can split in round one, so the first round
+//! is seeded with that light cone instead of every cell.
 
 use crate::digraph::ColoredDigraph;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// A partition of the nodes into classes `0..k`, isomorphism-invariantly
 /// numbered.
@@ -121,17 +113,6 @@ pub fn refine_once(d: &ColoredDigraph, part: &Partition) -> (Partition, bool) {
     let next = Partition::from_keys(&keys);
     let changed = next.k != part.k;
     (next, changed)
-}
-
-/// `class[v]` vector of an ordered cell list.
-fn class_of(cells: &[Vec<usize>], n: usize) -> Vec<u32> {
-    let mut class = vec![0u32; n];
-    for (i, cell) in cells.iter().enumerate() {
-        for &v in cell {
-            class[v] = i as u32;
-        }
-    }
-    class
 }
 
 /// Split one cell by member signatures under the *current* class vector.
@@ -217,29 +198,6 @@ fn split_cell_partial(
     runs.into_iter().map(|(_, vs)| vs).collect()
 }
 
-/// A record of one traced refinement run: the initial cells plus, per
-/// synchronous round, every cell that split (keyed by its smallest
-/// member) with its ordered subcells. Total size is `O(n)` cells across
-/// all rounds — each split permanently increases the cell count.
-///
-/// Produced by [`refine_to_stable_traced`], consumed by
-/// [`refine_to_stable_replay`] (via `canon::CanonHint`).
-#[derive(Debug, Clone)]
-pub struct RefineTrace {
-    /// The cells of the initial partition, in class order.
-    initial: Vec<Vec<usize>>,
-    /// `rounds[r][min_node]` = ordered subcells the cell split into at
-    /// round `r`. Cells absent from the map did not split that round.
-    rounds: Vec<HashMap<usize, Vec<Vec<usize>>>>,
-}
-
-impl RefineTrace {
-    /// Number of productive (splitting) rounds recorded.
-    pub fn rounds(&self) -> usize {
-        self.rounds.len()
-    }
-}
-
 /// The worklist engine shared by every stable-refinement entry point:
 /// runs synchronous rounds, recomputing signatures only for `dirty`
 /// nodes (one representative stands in for each cell's clean block, see
@@ -259,7 +217,6 @@ fn refine_worklist(
     d: &ColoredDigraph,
     init_cells: Vec<Vec<usize>>,
     mut dirty_nodes: Vec<usize>,
-    mut trace: Option<&mut RefineTrace>,
 ) -> Partition {
     let n = d.n();
     if n == 0 {
@@ -326,12 +283,7 @@ fn refine_worklist(
         // only their neighbors can see a changed signature next round
         // (self-loops mark their own node).
         dirty_nodes.clear();
-        let mut round: HashMap<usize, Vec<Vec<usize>>> = HashMap::new();
         for (s, subcells) in pending {
-            let old = std::mem::take(&mut members[s]);
-            if trace.is_some() {
-                round.insert(old[0], subcells.clone());
-            }
             let mut off = s;
             for sub in subcells {
                 if off != s {
@@ -354,9 +306,6 @@ fn refine_worklist(
         }
         dirty_nodes.sort_unstable();
         dirty_nodes.dedup();
-        if let Some(tr) = trace.as_deref_mut() {
-            tr.rounds.push(round);
-        }
     }
     // Materialize the exact compact numbering from cell order.
     let mut out = vec![0u32; n];
@@ -384,23 +333,7 @@ fn refine_worklist(
 pub fn refine_to_stable(d: &ColoredDigraph, initial: Option<Partition>) -> Partition {
     let part = initial.unwrap_or_else(|| Partition::from_keys(d.node_colors()));
     let cells = part.cells();
-    refine_worklist(d, cells, (0..d.n()).collect(), None)
-}
-
-/// [`refine_to_stable`] recording a [`RefineTrace`] for later replay
-/// against near-identical instances.
-pub fn refine_to_stable_traced(
-    d: &ColoredDigraph,
-    initial: Option<Partition>,
-) -> (Partition, RefineTrace) {
-    let part = initial.unwrap_or_else(|| Partition::from_keys(d.node_colors()));
-    let cells = part.cells();
-    let mut trace = RefineTrace {
-        initial: cells.clone(),
-        rounds: Vec::new(),
-    };
-    let stable = refine_worklist(d, cells, (0..d.n()).collect(), Some(&mut trace));
-    (stable, trace)
+    refine_worklist(d, cells, (0..d.n()).collect())
 }
 
 /// Individualize `v` inside the *stable* partition `stable` and refine
@@ -438,142 +371,7 @@ pub fn refine_individualized(d: &ColoredDigraph, stable: &Partition, v: usize) -
             dirty_nodes.push(a.from as usize);
         }
     }
-    refine_worklist(d, cells, dirty_nodes, None)
-}
-
-/// Replay a recorded refinement against a near-identical instance.
-///
-/// `dirty[v]` must be `true` for every node whose color or incident arc
-/// multiset differs from the instance that produced `trace` (marking
-/// *more* nodes dirty is always safe). The replay runs the same
-/// synchronous rounds as [`refine_to_stable`]: a cell whose members are
-/// all clean, match a parent-round cell node-for-node, and have no
-/// neighbor under suspicion *copies* the parent's recorded split; every
-/// other cell recomputes signatures, and any recomputed split that
-/// deviates from the record marks its members suspect, conservatively
-/// growing the recompute light cone. The result is byte-identical to
-/// `refine_to_stable(d, initial)` for every input — divergence only
-/// ever costs recomputation, never a different partition.
-pub fn refine_to_stable_replay(
-    d: &ColoredDigraph,
-    initial: Option<Partition>,
-    trace: &RefineTrace,
-    dirty: &[bool],
-) -> Partition {
-    let n = d.n();
-    debug_assert_eq!(dirty.len(), n);
-    let part = initial.unwrap_or_else(|| Partition::from_keys(d.node_colors()));
-    let mut cells = part.cells();
-    let mut class = class_of(&cells, n);
-    let mut suspect: Vec<bool> = dirty.to_vec();
-    let parent_initial: HashMap<usize, &Vec<usize>> = trace
-        .initial
-        .iter()
-        .filter(|c| !c.is_empty())
-        .map(|c| (c[0], c))
-        .collect();
-    // A cell is synced while its node set provably tracks a parent cell
-    // through the same rounds. Members of never-synced cells stay
-    // suspect forever.
-    let mut synced: Vec<bool> = cells
-        .iter()
-        .map(|cell| {
-            cell.iter().all(|&v| !suspect[v])
-                && parent_initial.get(&cell[0]).is_some_and(|p| *p == cell)
-        })
-        .collect();
-    for (ci, cell) in cells.iter().enumerate() {
-        if !synced[ci] {
-            for &v in cell {
-                suspect[v] = true;
-            }
-        }
-    }
-    let mut round = 0usize;
-    loop {
-        // When divergence has swallowed most of the graph the copy
-        // machinery can only cost; finish with the plain worklist engine
-        // (an all-dirty first round is always byte-safe, and the engine
-        // re-narrows its own light cone from there).
-        if 2 * suspect.iter().filter(|&&s| s).count() > n {
-            return refine_worklist(d, cells, (0..n).collect(), None);
-        }
-        // Cells that must recompute: any member suspect, or any member
-        // adjacent to a suspect node (its signature sees a class whose
-        // history may have diverged from the parent's).
-        let mut near = vec![false; cells.len()];
-        for w in 0..n {
-            if suspect[w] {
-                near[class[w] as usize] = true;
-                for a in d.out_arcs(w) {
-                    near[class[a.to as usize] as usize] = true;
-                }
-                for a in d.in_arcs(w) {
-                    near[class[a.from as usize] as usize] = true;
-                }
-            }
-        }
-        let parent_round = trace.rounds.get(round);
-        let mut new_cells: Vec<Vec<usize>> = Vec::with_capacity(cells.len());
-        let mut new_synced: Vec<bool> = Vec::with_capacity(cells.len());
-        let mut newly_suspect: Vec<usize> = Vec::new();
-        let mut any_split = false;
-        for (ci, cell) in cells.iter().enumerate() {
-            if cell.len() == 1 {
-                new_cells.push(cell.clone());
-                new_synced.push(synced[ci]);
-                continue;
-            }
-            if synced[ci] && !near[ci] {
-                // Copy path: identical members, clean light cone — the
-                // cell splits exactly as the parent's did this round.
-                match parent_round.and_then(|m| m.get(&cell[0])) {
-                    Some(sub) => {
-                        debug_assert_eq!(sub.iter().map(Vec::len).sum::<usize>(), cell.len());
-                        any_split = true;
-                        for s in sub {
-                            new_cells.push(s.clone());
-                            new_synced.push(true);
-                        }
-                    }
-                    None => {
-                        new_cells.push(cell.clone());
-                        new_synced.push(true);
-                    }
-                }
-                continue;
-            }
-            let sub = split_cell(d, &class, cell);
-            let matches_parent = synced[ci]
-                && match parent_round.and_then(|m| m.get(&cell[0])) {
-                    Some(psub) => *psub == sub,
-                    None => sub.len() == 1,
-                };
-            if !matches_parent {
-                newly_suspect.extend_from_slice(cell);
-            }
-            if sub.len() > 1 {
-                any_split = true;
-            }
-            for s in sub {
-                new_cells.push(s);
-                new_synced.push(matches_parent);
-            }
-        }
-        for v in newly_suspect {
-            suspect[v] = true;
-        }
-        if !any_split {
-            return Partition {
-                class,
-                k: cells.len(),
-            };
-        }
-        cells = new_cells;
-        synced = new_synced;
-        class = class_of(&cells, n);
-        round += 1;
-    }
+    refine_worklist(d, cells, dirty_nodes)
 }
 
 /// Refine for exactly `rounds` rounds (used to expose the per-depth view
@@ -757,56 +555,5 @@ mod tests {
         let p = refine_to_stable(&d, None);
         assert_eq!(p.k, 0);
         assert!(p.class.is_empty());
-    }
-
-    #[test]
-    fn traced_run_matches_untraced() {
-        let d = cycle(9, vec![1, 0, 0, 1, 0, 0, 0, 0, 0]);
-        let (traced, trace) = refine_to_stable_traced(&d, None);
-        assert_eq!(traced, refine_to_stable(&d, None));
-        assert!(trace.rounds() > 0);
-    }
-
-    #[test]
-    fn replay_with_no_dirt_matches_cold() {
-        let d = cycle(10, vec![1, 0, 0, 0, 0, 1, 0, 0, 0, 0]);
-        let (cold, trace) = refine_to_stable_traced(&d, None);
-        let replayed = refine_to_stable_replay(&d, None, &trace, &[false; 10]);
-        assert_eq!(cold, replayed);
-    }
-
-    #[test]
-    fn replay_with_recolored_nodes_matches_cold() {
-        let parent = cycle(12, {
-            let mut c = vec![0u64; 12];
-            c[0] = 1;
-            c[6] = 1;
-            c
-        });
-        let (_, trace) = refine_to_stable_traced(&parent, None);
-        // Move a home-base: recolor nodes 6 (black→white) and 7.
-        let child = cycle(12, {
-            let mut c = vec![0u64; 12];
-            c[0] = 1;
-            c[7] = 1;
-            c
-        });
-        let mut dirty = vec![false; 12];
-        dirty[6] = true;
-        dirty[7] = true;
-        let replayed = refine_to_stable_replay(&child, None, &trace, &dirty);
-        assert_eq!(replayed, refine_to_stable(&child, None));
-        assert_eq!(replayed, oracle::refine_to_stable(&child, None));
-    }
-
-    #[test]
-    fn replay_against_unrelated_trace_is_still_correct() {
-        // Worst case: the trace comes from a different graph entirely and
-        // everything is dirty — the replay degrades to a cold run.
-        let parent = cycle(7, vec![0; 7]);
-        let (_, trace) = refine_to_stable_traced(&parent, None);
-        let child = path3();
-        let replayed = refine_to_stable_replay(&child, None, &trace, &[true, true, true]);
-        assert_eq!(replayed, refine_to_stable(&child, None));
     }
 }

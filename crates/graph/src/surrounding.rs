@@ -16,16 +16,9 @@
 //! order, despite having drawn their maps independently.
 
 use crate::bicolored::Bicolored;
-use crate::canon::{canonicalize, canonicalize_traced, canonicalize_with_hint, CanonicalForm};
+use crate::canon::{canonicalize, CanonicalForm};
 use crate::digraph::{Arc, ColoredDigraph};
 use crate::graph::NodeId;
-
-/// Below this node count the surroundings are cheap enough that the
-/// incremental hint machinery costs more than it saves; [`ordered_classes`]
-/// falls back to plain cold canonicalization. Either path is byte-identical
-/// ([`canonicalize_with_hint`]'s contract), so the threshold only tunes
-/// speed.
-pub(crate) const INCREMENTAL_MIN_N: usize = 32;
 
 /// Build the surrounding digraph `S(u)` of Definition 3.1.
 pub fn surrounding(bc: &Bicolored, u: NodeId) -> ColoredDigraph {
@@ -139,31 +132,13 @@ pub fn ordered_classes_with_orbits(bc: &Bicolored, orbits: &[u32]) -> OrderedCla
     let mut by_form: Vec<(CanonicalForm, bool, Vec<NodeId>)> = Vec::new();
     // Orbit label → index of its class in `by_form`, once computed.
     let mut class_of_orbit = vec![usize::MAX; bc.n()];
-    // The surroundings S(u) for the n roots share node set, colors, and
-    // most arcs (only edges whose endpoints swap distance order flip).
-    // On large instances, canonicalize the first root traced and replay
-    // its root refinement for every other root — byte-identical forms,
-    // fraction of the work (DESIGN §13).
-    let mut hint = None;
     for (u, &orbit) in orbits.iter().enumerate() {
         let orbit = orbit as usize;
         if class_of_orbit[orbit] != usize::MAX {
             by_form[class_of_orbit[orbit]].2.push(u);
             continue;
         }
-        let s = surrounding(bc, u);
-        let form = if bc.n() < INCREMENTAL_MIN_N {
-            canonicalize(&s).form
-        } else {
-            match &hint {
-                None => {
-                    let (res, h) = canonicalize_traced(&s);
-                    hint = Some(h);
-                    res.form
-                }
-                Some(h) => canonicalize_with_hint(&s, h).form,
-            }
-        };
+        let form = canonicalize(&surrounding(bc, u)).form;
         class_of_orbit[orbit] = match by_form.iter().position(|(f, _, _)| *f == form) {
             Some(idx) => {
                 by_form[idx].2.push(u);
@@ -318,12 +293,9 @@ mod tests {
 
     #[test]
     fn incremental_path_matches_cold_on_large_cycle() {
-        // n >= INCREMENTAL_MIN_N routes ordered_classes through the
-        // hint chain; every class form must equal a fresh per-root cold
-        // canonicalization.
+        // Every class form must equal a fresh per-root canonicalization.
         let g = families::cycle(34).unwrap();
         let bc = Bicolored::new(g, &[0, 17]).unwrap();
-        assert!(bc.n() >= INCREMENTAL_MIN_N);
         let oc = ordered_classes(&bc);
         for c in &oc.classes {
             for &v in &c.nodes {
@@ -337,7 +309,7 @@ mod tests {
     fn orbit_reuse_matches_per_node_classes() {
         // The true orbits (from the instance canonicalization) and the
         // all-singleton partition both reproduce the per-node result
-        // byte for byte, including on the hint path (cycle:34).
+        // byte for byte, including at n = 34.
         let instances = [
             (families::cycle(34).unwrap(), vec![0usize, 17]),
             (families::cycle(9).unwrap(), vec![0, 1, 3]),

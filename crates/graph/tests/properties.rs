@@ -5,15 +5,15 @@ use qelect_graph::cache::{
     canonicalize_cached, encode_bicolored, encode_bicolored_permuted, ordered_classes_cached,
     ShardedCache,
 };
-use qelect_graph::canon::{are_isomorphic, canonicalize};
+use qelect_graph::canon::{are_isomorphic, canonicalize, CanonicalForm};
 use qelect_graph::digraph::Arc;
 use qelect_graph::graph::{GraphBuilder, Port};
 use qelect_graph::refine::refine_to_stable;
 use qelect_graph::surrounding::{
-    ordered_classes, ordered_classes_with_orbits, surrounding, OrderedClasses,
+    gcd, ordered_classes, ordered_classes_with_orbits, surrounding, OrderedClasses,
 };
 use qelect_graph::view::{view_partition, views_equal_by_trees};
-use qelect_graph::{families, labeling, Bicolored, ColoredDigraph};
+use qelect_graph::{families, labeling, oracle, Bicolored, ColoredDigraph};
 
 /// A random connected bicolored instance.
 fn instance() -> impl Strategy<Value = Bicolored> {
@@ -288,5 +288,49 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// A serve-fresh-sized instance: `cycle:n` or `circulant:n:1,3` with
+/// `n` in 32..=48 and 2–4 distinct home-bases.
+fn serve_fresh_instance() -> impl Strategy<Value = Bicolored> {
+    (any::<bool>(), 32usize..49, 2usize..5, any::<u64>()).prop_map(|(circ, n, r, seed)| {
+        let g = if circ {
+            families::circulant(n, &[1, 3]).unwrap()
+        } else {
+            families::cycle(n).unwrap()
+        };
+        Bicolored::new(g, &perm_of(n, seed)[..r]).unwrap()
+    })
+}
+
+proptest! {
+    // Every case runs the frozen oracle on all n surroundings.
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// COMPUTE & ORDER as `qelectd` runs it (cached, one surrounding per
+    /// orbit) agrees with the frozen oracle on every node: each class
+    /// form is the oracle form of each member's surrounding, and the gcd
+    /// equals the gcd of the classes the oracle forms induce.
+    #[test]
+    fn cached_classes_match_the_oracle_at_serve_fresh_sizes(bc in serve_fresh_instance()) {
+        let forms: Vec<CanonicalForm> = (0..bc.n())
+            .map(|v| oracle::canonicalize(&surrounding(&bc, v)).form)
+            .collect();
+        let oc = ordered_classes_cached(&bc);
+        for class in &oc.classes {
+            for &v in &class.nodes {
+                prop_assert_eq!(&forms[v], &class.form, "node {}", v);
+            }
+        }
+        let mut sizes: Vec<(&CanonicalForm, usize)> = Vec::new();
+        for form in &forms {
+            match sizes.iter_mut().find(|(f, _)| *f == form) {
+                Some((_, size)) => *size += 1,
+                None => sizes.push((form, 1)),
+            }
+        }
+        let oracle_gcd = sizes.iter().map(|&(_, size)| size).fold(0, gcd);
+        prop_assert_eq!(oc.gcd_of_sizes(), oracle_gcd);
     }
 }

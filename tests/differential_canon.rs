@@ -13,8 +13,6 @@
 //!   comparison of emitted words — is unchanged;
 //! * capped searches (the view-bounded mode, where pruning is disabled)
 //!   are byte-identical *including* leaf counts;
-//! * hinted replay ([`canonicalize_with_hint`]) equals the cold path on
-//!   every sibling surrounding;
 //! * for `n ≤ 8` the emitted word equals the brute-force minimum over
 //!   all `n!` labelings, and the harvested generators generate the full
 //!   automorphism group;
@@ -380,24 +378,6 @@ proptest! {
         );
     }
 
-    /// Hinted replay (the sweep drivers' incremental entry point) is
-    /// byte-identical to the cold path on every sibling surrounding.
-    #[test]
-    fn hinted_canonicalization_matches_cold_on_sibling_roots(
-        bc in instance_strategy(4..10),
-    ) {
-        let home = bc.homebases()[0];
-        let (_, hint) = canon::canonicalize_traced(&surrounding(&bc, home));
-        for u in 0..bc.n() {
-            let d = surrounding(&bc, u);
-            let cold = canon::canonicalize(&d);
-            let hinted = canon::canonicalize_with_hint(&d, &hint);
-            prop_assert_eq!(&hinted.form, &cold.form, "S({})", u);
-            prop_assert_eq!(&hinted.labeling, &cold.labeling, "S({})", u);
-            prop_assert_eq!(&hinted.generators, &cold.generators, "S({})", u);
-            prop_assert_eq!(&hinted.orbits, &cold.orbits, "S({})", u);
-        }
-    }
 }
 
 proptest! {

@@ -62,11 +62,9 @@ fn worker_count_does_not_change_aggregates() {
 
 /// The cache is a pure accelerator: cold, warm and disabled runs of the
 /// same sweep agree bucket-for-bucket, and the warm run's stats window
-/// shows the memo actually being hit. Every trial inside `run_sweep`
-/// goes through a per-worker `CanonSession` (the incremental entry
-/// point), so this also pins that path across cache states and worker
-/// counts. All global-flag manipulation stays inside this one test so
-/// parallel tests in this binary never observe a disabled cache.
+/// shows the memo actually being hit. All global-flag manipulation
+/// stays inside this one test so parallel tests in this binary never
+/// observe a disabled cache.
 #[test]
 fn cache_changes_timing_never_results() {
     cache::global().set_enabled(true);
@@ -94,7 +92,7 @@ fn cache_changes_timing_never_results() {
     cache::global().set_enabled(true);
 
     // Re-enabled and already warm: still the same table at every
-    // worker count (workers share the memo, each owns its session).
+    // worker count (workers share the memo).
     for workers in [2usize, 8] {
         let rewarm = run_sweep(&small_config(workers));
         assert_eq!(
@@ -104,58 +102,26 @@ fn cache_changes_timing_never_results() {
     }
 }
 
-/// The incremental entry point (`run_trial_with` + a caller-owned
-/// `CanonSession`) is invisible in results: one session chained across
-/// the whole trial grid — maximal hint reuse, the opposite dealing from
-/// the per-worker round-robin — produces outcomes identical to a fresh
-/// session per trial.
-#[test]
-fn chained_session_matches_fresh_sessions_per_trial() {
-    use qelect_bench::sweep::{run_trial, run_trial_with};
-    use qelect_graph::CanonSession;
-    let cfg = small_config(1);
-    let mut chained = CanonSession::new();
-    for bi in 0..cfg.buckets.len() {
-        for t in 0..cfg.trials {
-            let with = run_trial_with(&cfg, bi, t, &mut chained);
-            let fresh = run_trial(&cfg, bi, t);
-            assert_eq!(with, fresh, "bucket {bi} trial {t}");
-        }
-    }
-}
-
-/// Forced fingerprint collisions never corrupt incremental results:
-/// with every key mapped to one fingerprint, the chain's full-key
-/// fallback must still return exactly the session-computed value for
-/// each distinct instance, and every value must equal the cold path's.
+/// Forced fingerprint collisions never corrupt results: with every key
+/// mapped to one fingerprint, the chain's full-key fallback must still
+/// return exactly the value computed for each distinct instance.
 #[test]
 fn forced_collisions_keep_incremental_results_exact() {
     use qelect_graph::cache::{encode_digraph, ShardedCache};
-    use qelect_graph::canon::{
-        canonicalize, canonicalize_traced, canonicalize_with_hint, CanonHint, CanonResult,
-    };
+    use qelect_graph::canon::{canonicalize, CanonResult};
     use qelect_graph::ColoredDigraph;
 
     fn constant(_: &[u64]) -> u64 {
         7
     }
     let cache: ShardedCache<CanonResult> = ShardedCache::with_fingerprinter(2, 64, constant);
-    // A chain of near-identical instances, large enough that the hint
-    // machinery actually replays (the sweep drivers' regime).
-    let mut hint: Option<CanonHint> = None;
+    // A chain of near-identical instances (the sweep drivers' regime).
     let mut keys = Vec::new();
     for homes in [vec![0usize, 17], vec![0, 16], vec![1, 18], vec![2, 19]] {
         let bc = Bicolored::new(families::cycle(40).unwrap(), &homes).unwrap();
         let d = ColoredDigraph::from_bicolored(&bc);
         let key = encode_digraph(&d);
-        let cached = cache.get_or_insert_with(key.clone(), || match &hint {
-            Some(h) if h.n() == d.n() => canonicalize_with_hint(&d, h),
-            _ => {
-                let (res, h) = canonicalize_traced(&d);
-                hint = Some(h);
-                res
-            }
-        });
+        let cached = cache.get_or_insert_with(key.clone(), || canonicalize(&d));
         let cold = canonicalize(&d);
         assert_eq!(cached.form, cold.form, "{homes:?}: word");
         assert_eq!(cached.labeling, cold.labeling, "{homes:?}: labeling");
